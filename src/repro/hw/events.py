@@ -120,12 +120,16 @@ class EventLog:
 
     def switch(self, kind: SwitchKind, time_ns: int = 0, vcpu: int = 0) -> None:
         """Record one world switch (one direction)."""
-        if kind is SwitchKind.GUEST_INTERNAL:
-            self.guest_transitions.add(1, key=kind.value)
-        else:
-            self.world_switches.add(1, key=kind.value)
+        # Inlined Counter.add; ``_value_`` skips the enum ``value``
+        # descriptor, a Python-level call per event.
+        key = kind._value_
+        counter = (self.guest_transitions if kind is SwitchKind.GUEST_INTERNAL
+                   else self.world_switches)
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[key] = by_key.get(key, 0) + 1
         if self.detailed:
-            self.trace.append(TraceEvent(time_ns, vcpu, "switch", kind.value))
+            self.trace.append(TraceEvent(time_ns, vcpu, "switch", key))
 
     def l0_trap(self, reason: str) -> None:
         """Record one trap into the L0 hypervisor (the paper's "exit to
@@ -140,9 +144,13 @@ class EventLog:
 
     def fault(self, phase: FaultPhase, time_ns: int = 0, vcpu: int = 0) -> None:
         """Record one page fault by phase."""
-        self.page_faults.add(1, key=phase.value)
+        key = phase._value_  # as in switch()
+        counter = self.page_faults
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[key] = by_key.get(key, 0) + 1
         if self.detailed:
-            self.trace.append(TraceEvent(time_ns, vcpu, "fault", phase.value))
+            self.trace.append(TraceEvent(time_ns, vcpu, "fault", key))
 
     def hypercall(self, name: str) -> None:
         """Look up a hypercall by name (KeyError with catalog on typo)."""

@@ -112,8 +112,18 @@ class FrameAllocator:
             frame = self._recycled.popleft()
             self._owner[frame] = tag
             return frame
-        if self._free:
-            return self.alloc(1, tag).start
+        free = self._free
+        if free:
+            # First fit for one frame is always the head of the first run.
+            run = free[0]
+            frame = run.start
+            if run.count == 1:
+                del free[0]
+            else:
+                # A fresh range: callers may still hold the one freed here.
+                free[0] = FrameRange(frame + 1, run.count - 1)
+            self._owner[frame] = tag
+            return frame
         if self._recycled:
             frame = self._recycled.popleft()
             self._owner[frame] = tag

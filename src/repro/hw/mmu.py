@@ -14,7 +14,9 @@ probe); nested walks additionally serve repeat guest-physical
 translations from a small per-vCPU GPA cache, collapsing the 2-D walk's
 24-step worst case toward observed EPT behavior.  Without a PSC the MMU
 charges exactly the seed model's full-depth cost — virtual-time numbers
-are bit-identical to the pre-PSC simulator.
+are bit-identical to the pre-PSC simulator — and, since nothing then
+needs the visited nodes, 1-D walks and EPT legs are leaf-only
+:meth:`~repro.hw.pagetable.PageTable.resolve` calls.
 
 All misses are surfaced as exceptions carrying structured fault
 descriptors; the MMU never "fixes" anything itself — that is hypervisor
@@ -27,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.hw.costs import CostModel
 from repro.hw.events import EventLog
-from repro.hw.pagetable import PageFaultException, PageTable, WalkResult
+from repro.hw.pagetable import PageFaultException, PageTable, Pte, WalkResult
 from repro.hw.psc import PagingStructureCache
 from repro.hw.tlb import HUGE_SPAN, HUGE_TAG, KEY_SHIFT, Tlb
 from repro.hw.types import AccessType, Asid, EptViolation
@@ -43,8 +45,13 @@ class EptViolationException(Exception):
     """Raised when the extended dimension lacks a required translation."""
 
     def __init__(self, violation: EptViolation) -> None:
-        super().__init__(f"EPT violation @ gpa {violation.gpa:#x}")
+        # Formatted lazily (see PageFaultException); ``args`` keeps the
+        # descriptor so the exception pickles.
+        super().__init__(violation)
         self.violation = violation
+
+    def __str__(self) -> str:
+        return f"EPT violation @ gpa {self.violation.gpa:#x}"
 
 
 class Mmu:
@@ -121,24 +128,33 @@ class Mmu:
             return entry.frame + (vpn % HUGE_SPAN)
         self._tlb_stats.misses += 1
         psc = self.psc
-        start = None
-        if psc is not None:
-            start = psc.lookup(pt, akey, vpn)
-            self.events.psc_event("hit" if start is not None else "miss")
+        if psc is None:
+            # Seed model: full depth charged wherever the walk ended (the
+            # difference is below our cost resolution), and only the leaf
+            # is needed.
+            clock.now += pt.levels * self.costs.walk_step_1d
+            pte = pt.resolve(vpn, access, user)
+            huge = pte.huge
+            frame = pte.frame + vpn % HUGE_SPAN if huge else pte.frame
+            self.tlb.insert_packed(
+                akey, vpn, frame,
+                global_=cache_global and pte.global_, huge=huge,
+            )
+            return frame
+        start = psc.lookup(pt, akey, vpn)
+        self.events.psc_event("hit" if start is not None else "miss")
         try:
             result = pt.walk(vpn, access, user, start=start)
         except PageFaultException as exc:
-            # Charge the walk that discovered the fault: full depth
-            # without PSCs (seed model), the levels actually read — down
-            # to the faulting level — with them.
+            # Charge the walk that discovered the fault: the levels
+            # actually read, down to the faulting level.
             clock.advance(
                 self._walk_cost(pt, start, exc, None, self.costs.walk_step_1d)
             )
             raise
         clock.advance(self._walk_cost(pt, start, None, result,
                                       self.costs.walk_step_1d))
-        if psc is not None:
-            psc.fill(pt, akey, vpn, result.nodes)
+        psc.fill(pt, akey, vpn, result.nodes)
         self.tlb.insert_packed(
             akey, vpn, result.frame,
             global_=cache_global and result.pte.global_,
@@ -179,40 +195,48 @@ class Mmu:
             return entry.frame + (vpn % HUGE_SPAN)
         self._tlb_stats.misses += 1
         psc = self.psc
-        start = None
-        if psc is not None:
+        if psc is None:
+            # Seed model, as in access_1d.  The guest's table pages live
+            # in guest-physical memory; hardware translates each of them
+            # through the EPT during the nested walk, then the leaf guest
+            # frame with the real access type.
+            clock.now += gpt.levels * self.costs.walk_step_2d
+            result = gpt.walk(vpn, access, user)
+            ept_leg = self._ept_leg
+            for node in result.nodes:
+                ept_leg(clock, ept, node.frame, AccessType.READ)
+            gfn = result.frame
+            leaf = ept_leg(clock, ept, gfn, access)
+            leaf_huge = leaf.huge
+            frame = leaf.frame + gfn % HUGE_SPAN if leaf_huge else leaf.frame
+        else:
             start = psc.lookup(gpt, akey, vpn)
             self.events.psc_event("hit" if start is not None else "miss")
-        try:
-            result: WalkResult = gpt.walk(vpn, access, user, start=start)
-        except PageFaultException as exc:
-            clock.advance(
-                self._walk_cost(gpt, start, exc, None, self.costs.walk_step_2d)
-            )
-            raise
-        clock.advance(self._walk_cost(gpt, start, None, result,
-                                      self.costs.walk_step_2d))
-        # The guest's table pages live in guest-physical memory; hardware
-        # translates each of them through the EPT during the nested walk.
-        # A PSC-resumed walk read fewer guest nodes, so it also performs
-        # fewer nested resolutions — the 2-D collapse.
-        for node in result.nodes:
-            self._ept_resolve(clock, ept, node.frame, AccessType.READ)
-        # Finally translate the leaf guest frame with the real access type.
-        leaf = self._ept_resolve(clock, ept, result.frame, access)
-        # Fill only after every nested leg resolved: caching earlier would
-        # let a retry resume past upper nodes whose EPT violations never
-        # surfaced, making PSC-on runs *behave* differently (fewer
-        # hypervisor mappings) instead of merely costing less.
-        if psc is not None:
+            try:
+                result = gpt.walk(vpn, access, user, start=start)
+            except PageFaultException as exc:
+                clock.advance(self._walk_cost(
+                    gpt, start, exc, None, self.costs.walk_step_2d))
+                raise
+            clock.advance(self._walk_cost(gpt, start, None, result,
+                                          self.costs.walk_step_2d))
+            # A PSC-resumed walk read fewer guest nodes, so it also
+            # performs fewer nested resolutions — the 2-D collapse.
+            for node in result.nodes:
+                self._ept_resolve(clock, ept, node.frame, AccessType.READ)
+            walk = self._ept_resolve(clock, ept, result.frame, access)
+            # Fill only after every nested leg resolved: caching earlier
+            # would let a retry resume past upper nodes whose EPT
+            # violations never surfaced, making PSC-on runs *behave*
+            # differently (fewer hypervisor mappings) instead of merely
+            # costing less.
             psc.fill(gpt, akey, vpn, result.nodes)
+            leaf_huge, frame = walk.huge, walk.frame
         # A guest-huge translation can only fill a huge TLB entry when the
         # extended dimension preserves contiguity, i.e. the EPT leaf that
         # resolved the guest frame is huge too.
-        self.tlb.insert_packed(
-            akey, vpn, leaf.frame, huge=result.huge and leaf.huge
-        )
-        return leaf.frame
+        self.tlb.insert_packed(akey, vpn, frame, huge=result.huge and leaf_huge)
+        return frame
 
     def _walk_cost(
         self,
@@ -222,11 +246,8 @@ class Mmu:
         result: Optional[WalkResult],
         step: int,
     ) -> int:
-        """Nanoseconds to charge for one (possibly partial) walk."""
-        if self.psc is None:
-            # Seed model: full depth regardless of where the walk ended
-            # (the difference is below our cost resolution).
-            return pt.levels * step
+        """Nanoseconds to charge for one (possibly partial) PSC-on walk:
+        the levels actually read, down to the faulting level."""
         if result is not None:
             levels = result.levels_walked
         else:
@@ -237,46 +258,58 @@ class Mmu:
             cost += self.costs.walk_step_cached
         return cost
 
+    def _ept_leg(
+        self, clock: Clock, ept: PageTable, guest_frame: int, access: AccessType
+    ) -> Pte:
+        """Inner EPT walk of one guest frame number with PSCs off.
+
+        A leaf-only :meth:`PageTable.resolve`, charged the full
+        ``ept.levels`` steps whether it succeeds or faults.  Returns the
+        EPT leaf; the host frame is ``leaf.frame`` plus the 2 MiB offset
+        of ``guest_frame`` when the leaf is huge.
+        """
+        clock.now += ept.levels * self.costs.walk_step_1d
+        try:
+            return ept.resolve(guest_frame, access, False)
+        except PageFaultException as exc:
+            raise EptViolationException(EptViolation(
+                gpa=guest_frame << 12, access=access, level=exc.fault.level
+            )) from exc
+
     def _ept_resolve(
         self, clock: Clock, ept: PageTable, guest_frame: int, access: AccessType
     ) -> WalkResult:
-        """Inner EPT walk of one guest frame number.
+        """Inner EPT walk of one guest frame number with PSCs on.
 
-        Returns the full :class:`WalkResult` (the leaf caller needs its
-        ``huge`` flag — re-walking via ``ept.lookup`` would double the
-        work).  With PSCs enabled, repeat translations of the same guest
-        frame hit the GPA cache at ``walk_step_cached`` instead of
-        re-walking all ``ept.levels`` levels.
+        Returns the full :class:`WalkResult`, which the GPA cache keeps:
+        repeat translations of the same guest frame hit it at
+        ``walk_step_cached`` instead of re-walking all ``ept.levels``
+        levels.
         """
-        if self.psc is not None:
-            key = (ept.uid << 52) | guest_frame
-            hit = self._gpa_cache.get(key)
-            if hit is not None:
-                walk, stamp = hit
-                if stamp == ept.entry_writes and walk.pte.permits(access, False):
-                    clock.advance(self.costs.walk_step_cached)
-                    self.events.psc_event("gpa-hit")
-                    walk.pte.accessed = True
-                    if access is AccessType.WRITE:
-                        walk.pte.dirty = True
-                    return walk
-                del self._gpa_cache[key]
-            self.events.psc_event("gpa-miss")
+        key = (ept.uid << 52) | guest_frame
+        hit = self._gpa_cache.get(key)
+        if hit is not None:
+            walk, stamp = hit
+            if stamp == ept.entry_writes and walk.pte.permits(access, False):
+                clock.advance(self.costs.walk_step_cached)
+                self.events.psc_event("gpa-hit")
+                walk.pte.accessed = True
+                if access is AccessType.WRITE:
+                    walk.pte.dirty = True
+                return walk
+            del self._gpa_cache[key]
+        self.events.psc_event("gpa-miss")
+        clock.advance(ept.levels * self.costs.walk_step_1d)
         try:
             walk = ept.walk(guest_frame, access, user=False)
         except PageFaultException as exc:
-            clock.advance(ept.levels * self.costs.walk_step_1d)
-            raise EptViolationException(
-                EptViolation(
-                    gpa=guest_frame << 12, access=access, level=exc.fault.level
-                )
-            ) from exc
-        clock.advance(ept.levels * self.costs.walk_step_1d)
-        if self.psc is not None:
-            cache = self._gpa_cache
-            if len(cache) >= GPA_CACHE_CAPACITY:
-                del cache[next(iter(cache))]
-            cache[(ept.uid << 52) | guest_frame] = (walk, ept.entry_writes)
+            raise EptViolationException(EptViolation(
+                gpa=guest_frame << 12, access=access, level=exc.fault.level
+            )) from exc
+        cache = self._gpa_cache
+        if len(cache) >= GPA_CACHE_CAPACITY:
+            del cache[next(iter(cache))]
+        cache[key] = (walk, ept.entry_writes)
         return walk
 
     # -- flush helpers --------------------------------------------------------

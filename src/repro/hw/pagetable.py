@@ -21,17 +21,47 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from repro.hw.memory import PhysicalMemory
 from repro.hw.types import (
     ENTRIES_PER_TABLE,
+    LEVEL_BITS,
     PT_LEVELS,
     AccessType,
     HardwareError,
     PageFault,
     PageFaultError,
-    table_index,
 )
 
 
 #: Pages covered by one huge (2 MiB, level-2) mapping.
 HUGE_PAGE_PAGES = 512
+
+#: ``_SHIFT[level]``: how far to shift a vpn so its ``level`` index sits
+#: in the low bits; ``(vpn >> _SHIFT[level]) & _INDEX_MASK`` is
+#: :func:`~repro.hw.types.table_index` without the per-call range check
+#: (:class:`PageTable` validates its depth once, at construction).
+_SHIFT = tuple((level - 1) * LEVEL_BITS for level in range(PT_LEVELS + 1))
+_INDEX_MASK = ENTRIES_PER_TABLE - 1
+
+
+def _fault_error(present: bool, access: AccessType, user: bool) -> PageFaultError:
+    error = PageFaultError.NONE
+    if present:
+        error |= PageFaultError.PRESENT
+    if access is AccessType.WRITE:
+        error |= PageFaultError.WRITE
+    if access is AccessType.EXECUTE:
+        error |= PageFaultError.FETCH
+    if user:
+        error |= PageFaultError.USER
+    return error
+
+
+#: Error code of every ``(present, access, user)`` a walk can fault
+#: with, built once so raising a fault does no enum-flag arithmetic.
+_FAULT_ERRORS = {
+    (present, access, user): _fault_error(present, access, user)
+    for present in (False, True)
+    for access in AccessType
+    for user in (False, True)
+}
 
 
 @dataclass(slots=True)
@@ -161,11 +191,15 @@ class PageTable:
         name: str = "pt",
         levels: int = PT_LEVELS,
     ) -> None:
-        if levels < 1:
-            raise ValueError(f"levels must be >= 1, got {levels}")
+        if not 1 <= levels <= PT_LEVELS:
+            raise ValueError(
+                f"{name}: levels must be in 1..{PT_LEVELS}, got {levels}"
+            )
         self.phys = phys
         self.name = name
         self.levels = levels
+        #: Allocation tag of every table frame (built once, not per node).
+        self._tag = f"pt:{name}"
         #: Identity tag binding cached intermediate-walk entries to this
         #: table instance (a recycled root frame must not revive another
         #: table's cached nodes).
@@ -175,7 +209,7 @@ class PageTable:
         #: release); paging-structure caches validate their cached node
         #: references against it so a stale node can never be resumed.
         self.epoch = 0
-        self.root = PageTableNode(levels, phys.alloc_frame(tag=f"pt:{name}"))
+        self.root = PageTableNode(levels, phys.alloc_frame(tag=self._tag))
         #: Total leaf mappings currently installed.
         self.mapped_pages = 0
         #: Monotric counters for tests/accounting.
@@ -213,24 +247,13 @@ class PageTable:
 
         Raises :class:`HardwareError` if the page is already mapped;
         callers must unmap first (matching how kernels treat PTE reuse).
+        A huge PTE must go through :meth:`map_huge`, which places it at
+        level 2 where walks give it the 2 MiB offset.
         """
-        node = self.root
-        allocated: List[int] = []
-        written: List[int] = []
-        for level in range(self.levels, 1, -1):
-            idx = table_index(vpn, level)
-            child = node.entries.get(idx)
-            if child is None:
-                frame = self.phys.alloc_frame(tag=f"pt:{self.name}")
-                child = PageTableNode(level - 1, frame)
-                self._write_entry(node, idx, child)
-                written.append(node.frame)
-                allocated.append(level - 1)
-                self.node_allocations += 1
-            elif not isinstance(child, PageTableNode):
-                raise HardwareError(f"{self.name}: corrupt non-leaf at L{level}")
-            node = child
-        idx = table_index(vpn, 1)
+        if pte.huge:
+            raise HardwareError(f"{self.name}: huge PTE for {vpn:#x}; use map_huge")
+        node, allocated, written = self._descend(vpn, 1)
+        idx = vpn & _INDEX_MASK
         if idx in node.entries:
             raise HardwareError(f"{self.name}: vpn {vpn:#x} already mapped")
         self._write_entry(node, idx, pte)
@@ -251,23 +274,8 @@ class PageTable:
         if vpn_base % HUGE_PAGE_PAGES:
             raise ValueError(f"huge mapping base {vpn_base:#x} not aligned")
         pte.huge = True
-        node = self.root
-        allocated: List[int] = []
-        written: List[int] = []
-        for level in range(self.levels, 2, -1):
-            idx = table_index(vpn_base, level)
-            child = node.entries.get(idx)
-            if child is None:
-                frame = self.phys.alloc_frame(tag=f"pt:{self.name}")
-                child = PageTableNode(level - 1, frame)
-                self._write_entry(node, idx, child)
-                written.append(node.frame)
-                allocated.append(level - 1)
-                self.node_allocations += 1
-            elif not isinstance(child, PageTableNode):
-                raise HardwareError(f"{self.name}: corrupt non-leaf at L{level}")
-            node = child
-        idx = table_index(vpn_base, 2)
+        node, allocated, written = self._descend(vpn_base, 2)
+        idx = (vpn_base >> _SHIFT[2]) & _INDEX_MASK
         if idx in node.entries:
             raise HardwareError(
                 f"{self.name}: level-2 slot for {vpn_base:#x} already used"
@@ -288,26 +296,19 @@ class PageTable:
         node = self.root
         path: List[Tuple[PageTableNode, int]] = []
         for level in range(self.levels, 2, -1):
-            idx = table_index(vpn_base, level)
+            idx = (vpn_base >> _SHIFT[level]) & _INDEX_MASK
             child = node.entries.get(idx)
-            if not isinstance(child, PageTableNode):
+            if child.__class__ is not PageTableNode:
                 raise HardwareError(f"{self.name}: {vpn_base:#x} not huge-mapped")
             path.append((node, idx))
             node = child
-        idx = table_index(vpn_base, 2)
+        idx = (vpn_base >> _SHIFT[2]) & _INDEX_MASK
         pte = node.entries.get(idx)
-        if not isinstance(pte, Pte) or not pte.huge:
+        if pte.__class__ is not Pte or not pte.huge:
             raise HardwareError(f"{self.name}: {vpn_base:#x} not huge-mapped")
         self._write_entry(node, idx, None)
         self.mapped_pages -= HUGE_PAGE_PAGES
-        child = node
-        for parent, pidx in reversed(path):
-            if child.entries:
-                break
-            self.phys.free_frame(child.frame)
-            self.epoch += 1
-            self._write_entry(parent, pidx, None)
-            child = parent
+        self._prune(node, path)
         return pte
 
     def split_huge(self, vpn_base: int) -> MapResult:
@@ -317,25 +318,12 @@ class PageTable:
         page-table churn COW-on-fork forces onto huge pages.
         """
         pte = self.unmap_huge(vpn_base)
-        node = self.root
-        written: List[int] = []
-        allocated: List[int] = []
-        for level in range(self.levels, 1, -1):
-            idx = table_index(vpn_base, level)
-            child = node.entries.get(idx)
-            if child is None:
-                frame = self.phys.alloc_frame(tag=f"pt:{self.name}")
-                child = PageTableNode(level - 1, frame)
-                self._write_entry(node, idx, child)
-                written.append(node.frame)
-                allocated.append(level - 1)
-                self.node_allocations += 1
-            node = child
+        node, allocated, written = self._descend(vpn_base, 1)
         for i in range(HUGE_PAGE_PAGES):
             small = pte.copy()
             small.huge = False
             small.frame = pte.frame + i
-            self._write_entry(node, table_index(vpn_base + i, 1), small)
+            self._write_entry(node, (vpn_base + i) & _INDEX_MASK, small)
             written.append(node.frame)
         self.mapped_pages += HUGE_PAGE_PAGES
         return MapResult(pte=pte, allocated_levels=tuple(allocated),
@@ -350,38 +338,32 @@ class PageTable:
         path: List[Tuple[PageTableNode, int]] = []
         node = self.root
         for level in range(self.levels, 1, -1):
-            idx = table_index(vpn, level)
+            idx = (vpn >> _SHIFT[level]) & _INDEX_MASK
             child = node.entries.get(idx)
-            if not isinstance(child, PageTableNode):
+            if child.__class__ is not PageTableNode:
                 raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
             path.append((node, idx))
             node = child
-        idx = table_index(vpn, 1)
+        idx = vpn & _INDEX_MASK
         pte = node.entries.get(idx)
-        if not isinstance(pte, Pte):
+        if pte.__class__ is not Pte:
             raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
         self._write_entry(node, idx, None)
         self.mapped_pages -= 1
-        # Prune now-empty nodes bottom-up.
-        child = node
-        for parent, pidx in reversed(path):
-            if child.entries:
-                break
-            self.phys.free_frame(child.frame)
-            self.epoch += 1
-            self._write_entry(parent, pidx, None)
-            child = parent
+        self._prune(node, path)
         return pte
 
     def protect(self, vpn: int, **flags: bool) -> Pte:
         """Update permission flags of an existing mapping in place.
 
         Accepts the keyword flags of :class:`Pte` (``writable``, ``user``,
-        ``executable``, ``global_``).  Returns the updated PTE.
+        ``executable``, ``global_``).  Returns the updated PTE.  ``huge``
+        is not a permission: only :meth:`map_huge` and
+        :meth:`split_huge` change it.
         """
         node, idx, pte = self._leaf_of(vpn)
         for key, value in flags.items():
-            if not hasattr(pte, key):
+            if key == "huge" or not hasattr(pte, key):
                 raise ValueError(f"unknown PTE flag {key!r}")
             setattr(pte, key, value)
         # A protection change is an entry write (the guest kernel writes
@@ -397,14 +379,14 @@ class PageTable:
         """
         node = self.root
         for level in range(self.levels, 1, -1):
-            child = node.entries.get(table_index(vpn, level))
-            if isinstance(child, Pte):
-                return child if (child.huge and level == 2) else None
-            if not isinstance(child, PageTableNode):
+            child = node.entries.get((vpn >> _SHIFT[level]) & _INDEX_MASK)
+            if child.__class__ is not PageTableNode:
+                if child is not None and child.huge and level == 2:
+                    return child
                 return None
             node = child
-        pte = node.entries.get(table_index(vpn, 1))
-        return pte if isinstance(pte, Pte) else None
+        pte = node.entries.get(vpn & _INDEX_MASK)
+        return pte if pte.__class__ is Pte else None
 
     # -- walking -------------------------------------------------------
 
@@ -428,39 +410,48 @@ class PageTable:
         node = self.root if start is None else start
         nodes: List[PageTableNode] = [node]
         for level in range(node.level, 1, -1):
-            child = node.entries.get(table_index(vpn, level))
-            if isinstance(child, Pte) and child.huge and level == 2:
-                if not child.permits(access, user):
-                    raise PageFaultException(
-                        self._fault(vpn, access, user, present=True, level=2)
+            child = node.entries.get((vpn >> _SHIFT[level]) & _INDEX_MASK)
+            if child.__class__ is not PageTableNode:
+                if child is not None and child.huge and level == 2:
+                    self._touch(child, vpn, access, user, 2)
+                    return WalkResult(
+                        frame=child.frame + vpn % HUGE_PAGE_PAGES, pte=child,
+                        nodes=tuple(nodes), huge=True,
                     )
-                child.accessed = True
-                if access is AccessType.WRITE:
-                    child.dirty = True
-                offset = vpn % HUGE_PAGE_PAGES
-                return WalkResult(
-                    frame=child.frame + offset, pte=child,
-                    nodes=tuple(nodes), huge=True,
-                )
-            if not isinstance(child, PageTableNode):
                 raise PageFaultException(
-                    self._fault(vpn, access, user, present=False, level=level)
+                    self._fault(vpn, access, user, False, level)
                 )
             node = child
             nodes.append(node)
-        pte = node.entries.get(table_index(vpn, 1))
-        if not isinstance(pte, Pte):
-            raise PageFaultException(
-                self._fault(vpn, access, user, present=False, level=1)
-            )
-        if not pte.permits(access, user):
-            raise PageFaultException(
-                self._fault(vpn, access, user, present=True, level=1)
-            )
-        pte.accessed = True
-        if access is AccessType.WRITE:
-            pte.dirty = True
+        pte = node.entries.get(vpn & _INDEX_MASK)
+        if pte.__class__ is not Pte:
+            raise PageFaultException(self._fault(vpn, access, user, False, 1))
+        self._touch(pte, vpn, access, user, 1)
         return WalkResult(frame=pte.frame, pte=pte, nodes=tuple(nodes))
+
+    def resolve(self, vpn: int, access: AccessType, user: bool) -> Pte:
+        """Leaf-only :meth:`walk` from the root: the PTE covering ``vpn``.
+
+        Sets the same A/D bits and raises the same fault at the same
+        level as :meth:`walk`, but records no visited nodes and builds no
+        :class:`WalkResult`.  The translated frame is ``pte.frame``, plus
+        ``vpn % HUGE_PAGE_PAGES`` when ``pte.huge`` (huge PTEs only ever
+        sit at level 2, see :meth:`map`).
+        """
+        node = self.root
+        for level in range(self.levels, 1, -1):
+            child = node.entries.get((vpn >> _SHIFT[level]) & _INDEX_MASK)
+            if child.__class__ is not PageTableNode:
+                if child is not None and child.huge and level == 2:
+                    return self._touch(child, vpn, access, user, 2)
+                raise PageFaultException(
+                    self._fault(vpn, access, user, False, level)
+                )
+            node = child
+        pte = node.entries.get(vpn & _INDEX_MASK)
+        if pte.__class__ is not Pte:
+            raise PageFaultException(self._fault(vpn, access, user, False, 1))
+        return self._touch(pte, vpn, access, user, 1)
 
     # -- accessed-bit harvesting ----------------------------------------
 
@@ -516,7 +507,7 @@ class PageTable:
         for frame in self.node_frames():
             self.phys.free_frame(frame)
         self.epoch += 1
-        self.root = PageTableNode(self.levels, self.phys.alloc_frame(tag=f"pt:{self.name}"))
+        self.root = PageTableNode(self.levels, self.phys.alloc_frame(tag=self._tag))
         self.mapped_pages = 0
 
     def release(self) -> None:
@@ -540,40 +531,96 @@ class PageTable:
             node.entries[idx] = value
         self.entry_writes += 1
 
+    def _descend(
+        self, vpn: int, leaf_level: int
+    ) -> Tuple[PageTableNode, List[int], List[int]]:
+        """Walk to the level-``leaf_level`` table covering ``vpn``,
+        allocating missing nodes on the way.
+
+        Returns the table plus the levels allocated and the frames
+        written so far (root-down), for the caller's :class:`MapResult`.
+        """
+        node = self.root
+        allocated: List[int] = []
+        written: List[int] = []
+        for level in range(self.levels, leaf_level, -1):
+            idx = (vpn >> _SHIFT[level]) & _INDEX_MASK
+            child = node.entries.get(idx)
+            if child is None:
+                child = PageTableNode(
+                    level - 1, self.phys.alloc_frame(tag=self._tag)
+                )
+                self._write_entry(node, idx, child)
+                written.append(node.frame)
+                allocated.append(level - 1)
+                self.node_allocations += 1
+            elif child.__class__ is not PageTableNode:
+                raise HardwareError(f"{self.name}: corrupt non-leaf at L{level}")
+            node = child
+        return node, allocated, written
+
+    def _prune(
+        self, node: PageTableNode, path: List[Tuple[PageTableNode, int]]
+    ) -> None:
+        """Free now-empty tables bottom-up, from ``node`` along ``path``."""
+        child = node
+        for parent, pidx in reversed(path):
+            if child.entries:
+                break
+            self.phys.free_frame(child.frame)
+            self.epoch += 1
+            self._write_entry(parent, pidx, None)
+            child = parent
+
     def _leaf_of(self, vpn: int) -> Tuple[PageTableNode, int, Pte]:
         node = self.root
         for level in range(self.levels, 1, -1):
-            idx = table_index(vpn, level)
+            idx = (vpn >> _SHIFT[level]) & _INDEX_MASK
             child = node.entries.get(idx)
-            if isinstance(child, Pte) and child.huge and level == 2:
-                return node, idx, child
-            if not isinstance(child, PageTableNode):
+            if child.__class__ is not PageTableNode:
+                if child is not None and child.huge and level == 2:
+                    return node, idx, child
                 raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
             node = child
-        idx = table_index(vpn, 1)
+        idx = vpn & _INDEX_MASK
         pte = node.entries.get(idx)
-        if not isinstance(pte, Pte):
+        if pte.__class__ is not Pte:
             raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
         return node, idx, pte
+
+    def _touch(
+        self, pte: Pte, vpn: int, access: AccessType, user: bool, level: int
+    ) -> Pte:
+        """Check a walk's leaf (found at ``level``) against ``access``
+        and set its A/D bits as the hardware walker does."""
+        if not pte.permits(access, user):
+            raise PageFaultException(self._fault(vpn, access, user, True, level))
+        pte.accessed = True
+        if access is AccessType.WRITE:
+            pte.dirty = True
+        return pte
 
     def _fault(
         self, vpn: int, access: AccessType, user: bool, present: bool, level: int
     ) -> PageFault:
-        error = PageFaultError.NONE
-        if present:
-            error |= PageFaultError.PRESENT
-        if access is AccessType.WRITE:
-            error |= PageFaultError.WRITE
-        if access is AccessType.EXECUTE:
-            error |= PageFaultError.FETCH
-        if user:
-            error |= PageFaultError.USER
-        return PageFault(vaddr=vpn << 12, access=access, error=error, level=level)
+        return PageFault(
+            vaddr=vpn << 12, access=access,
+            error=_FAULT_ERRORS[present, access, user], level=level,
+        )
 
 
 class PageFaultException(Exception):
-    """Control-flow carrier for MMU faults (caught by fault handlers)."""
+    """Control-flow carrier for MMU faults (caught by fault handlers).
+
+    Most faults are caught and handled without ever being printed, so
+    the message is formatted on demand; ``args`` holds the descriptor,
+    which is what lets the exception pickle across worker processes.
+    """
 
     def __init__(self, fault: PageFault) -> None:
-        super().__init__(f"page fault @ {fault.vaddr:#x} ({fault.error})")
+        super().__init__(fault)
         self.fault = fault
+
+    def __str__(self) -> str:
+        fault = self.fault
+        return f"page fault @ {fault.vaddr:#x} ({fault.error})"

@@ -1,10 +1,21 @@
 """Unit tests for the 4-level radix page tables."""
 
+import pickle
+
 import pytest
 
 from repro.hw.memory import PhysicalMemory
-from repro.hw.pagetable import PageFaultException, PageTable, Pte
-from repro.hw.types import MIB, AccessType, HardwareError, PT_LEVELS
+from repro.hw.mmu import EptViolationException
+from repro.hw.pagetable import HUGE_PAGE_PAGES, PageFaultException, PageTable, Pte
+from repro.hw.types import (
+    MIB,
+    PT_LEVELS,
+    AccessType,
+    EptViolation,
+    HardwareError,
+    PageFault,
+    PageFaultError,
+)
 
 
 @pytest.fixture
@@ -15,6 +26,27 @@ def phys():
 @pytest.fixture
 def pt(phys):
     return PageTable(phys, name="test")
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("levels", [0, -1, PT_LEVELS + 1])
+    def test_levels_out_of_range_rejected(self, phys, levels):
+        with pytest.raises(ValueError, match=r"levels must be in 1\.\.4"):
+            PageTable(phys, name="bad", levels=levels)
+
+    @pytest.mark.parametrize("levels", range(1, PT_LEVELS + 1))
+    def test_every_supported_depth_maps_and_walks(self, phys, levels):
+        pt = PageTable(phys, name="shallow", levels=levels)
+        pt.map(0x1FF, Pte(frame=9))
+        result = pt.walk(0x1FF, AccessType.READ, user=True)
+        assert result.frame == 9 and result.levels_walked == levels
+        assert pt.resolve(0x1FF, AccessType.READ, user=True).frame == 9
+
+    def test_rejected_depth_allocates_nothing(self, phys):
+        free = phys.free_frames
+        with pytest.raises(ValueError):
+            PageTable(phys, levels=5)
+        assert phys.free_frames == free
 
 
 class TestMap:
@@ -29,6 +61,11 @@ class TestMap:
         result = pt.map(0x1001, Pte(frame=6))
         assert result.allocated_levels == ()
         assert len(result.written_frames) == 1
+
+    def test_huge_pte_needs_map_huge(self, pt):
+        with pytest.raises(HardwareError, match="map_huge"):
+            pt.map(0x1, Pte(frame=1, huge=True))
+        assert pt.mapped_pages == 0
 
     def test_double_map_rejected(self, pt):
         pt.map(0x1000, Pte(frame=5))
@@ -83,6 +120,12 @@ class TestProtect:
         pt.map(0x7, Pte(frame=1))
         with pytest.raises(ValueError):
             pt.protect(0x7, bogus=True)
+
+    def test_protect_cannot_toggle_huge(self, pt):
+        pt.map(0x1, Pte(frame=1))
+        with pytest.raises(ValueError):
+            pt.protect(0x1, huge=True)
+        assert not pt.lookup(0x1).huge
 
     def test_protect_unmapped(self, pt):
         with pytest.raises(HardwareError):
@@ -141,6 +184,86 @@ class TestWalk:
         pt.map(0x9, Pte(frame=1, executable=False))
         with pytest.raises(PageFaultException):
             pt.walk(0x9, AccessType.EXECUTE, user=True)
+
+
+class TestResolve:
+    """``resolve`` is the leaf-only walk: same PTE, faults and A/D bits."""
+
+    def test_returns_leaf_and_sets_bits(self, pt):
+        pt.map(0x1234, Pte(frame=77))
+        pte = pt.resolve(0x1234, AccessType.WRITE, user=True)
+        assert pte is pt.lookup(0x1234)
+        assert pte.frame == 77 and pte.accessed and pte.dirty
+
+    def test_huge_leaf(self, pt):
+        pt.map_huge(HUGE_PAGE_PAGES, Pte(frame=0x4000))
+        pte = pt.resolve(HUGE_PAGE_PAGES + 5, AccessType.READ, user=True)
+        assert pte.huge and pte.frame == 0x4000
+        assert pte.accessed and not pte.dirty
+
+    def test_miss_levels_match_walk(self, pt):
+        pt.map(0x1000, Pte(frame=5))
+        for vpn, level in ((0x1001, 1), (1 << 18, PT_LEVELS - 1),
+                           (1 << 30, PT_LEVELS)):
+            with pytest.raises(PageFaultException) as exc:
+                pt.resolve(vpn, AccessType.READ, user=True)
+            assert exc.value.fault.level == level
+
+    def test_protection_fault(self, pt):
+        pt.map(0x9, Pte(frame=1, writable=False))
+        with pytest.raises(PageFaultException) as exc:
+            pt.resolve(0x9, AccessType.WRITE, user=True)
+        assert exc.value.fault.is_protection
+        assert not pt.lookup(0x9).accessed
+
+
+class TestFaultExceptions:
+    """Messages are formatted lazily but read exactly as before, and the
+    exceptions survive pickling (``--jobs`` moves them across
+    processes)."""
+
+    FAULT = PageFault(
+        vaddr=0x1234000, access=AccessType.WRITE,
+        error=PageFaultError.PRESENT | PageFaultError.WRITE | PageFaultError.USER,
+        level=1,
+    )
+    VIOLATION = EptViolation(gpa=0xABC000, access=AccessType.READ, level=2)
+
+    def test_page_fault_message(self):
+        exc = PageFaultException(self.FAULT)
+        assert str(exc) == "page fault @ 0x1234000 (PageFaultError.PRESENT|WRITE|USER)"
+        none = PageFault(vaddr=0x5000, access=AccessType.READ,
+                         error=PageFaultError.NONE, level=4)
+        assert str(PageFaultException(none)) == "page fault @ 0x5000 (PageFaultError.NONE)"
+
+    def test_ept_violation_message(self):
+        assert str(EptViolationException(self.VIOLATION)) == "EPT violation @ gpa 0xabc000"
+
+    def test_walk_fault_error_codes(self, pt):
+        pt.map(0x9, Pte(frame=1, user=False, executable=False))
+        cases = [
+            (0x8, AccessType.READ, False, PageFaultError.NONE),
+            (0x8, AccessType.WRITE, True, PageFaultError.WRITE | PageFaultError.USER),
+            (0x9, AccessType.READ, True, PageFaultError.PRESENT | PageFaultError.USER),
+            (0x9, AccessType.EXECUTE, False,
+             PageFaultError.PRESENT | PageFaultError.FETCH),
+        ]
+        for vpn, access, user, error in cases:
+            with pytest.raises(PageFaultException) as exc:
+                pt.walk(vpn, access, user)
+            assert exc.value.fault.error == error
+            assert exc.value.fault.vaddr == vpn << 12
+
+    @pytest.mark.parametrize("make,attr", [
+        (lambda: PageFaultException(TestFaultExceptions.FAULT), "fault"),
+        (lambda: EptViolationException(TestFaultExceptions.VIOLATION), "violation"),
+    ])
+    def test_pickle_roundtrip(self, make, attr):
+        exc = make()
+        clone = pickle.loads(pickle.dumps(exc))
+        assert type(clone) is type(exc)
+        assert getattr(clone, attr) == getattr(exc, attr)
+        assert str(clone) == str(exc)
 
 
 class TestIteration:

@@ -1,12 +1,13 @@
 """Property-based tests (hypothesis) on core data-structure invariants."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.memory import FrameAllocator
-from repro.hw.pagetable import PageTable, Pte
+from repro.hw.pagetable import HUGE_PAGE_PAGES, PageFaultException, PageTable, Pte
 from repro.hw.memory import PhysicalMemory
 from repro.hw.tlb import Tlb
-from repro.hw.types import MIB, Asid, NUM_PCIDS
+from repro.hw.types import MIB, AccessType, Asid, HardwareError, NUM_PCIDS
 from repro.guest.addrspace import AddressSpace, SegfaultError, Vma
 from repro.sim.clock import Clock
 from repro.sim.locks import SimLock
@@ -231,6 +232,73 @@ class TestHugePageProperties:
             for f in r:
                 assert f not in seen
                 seen.add(f)
+
+
+#: A few huge-page blocks with offsets at both ends, plus vpns that fork
+#: off at levels 3 and 4, so random streams collide on every level.
+_diff_vpns = st.one_of(
+    st.builds(lambda block, off: block * HUGE_PAGE_PAGES + off,
+              st.integers(0, 3), st.sampled_from([0, 1, 7, 511])),
+    st.sampled_from([(1 << 18) + 3, 1 << 27]),
+)
+_perms = st.fixed_dictionaries({
+    "writable": st.booleans(), "user": st.booleans(),
+    "executable": st.booleans(),
+})
+_table_ops = st.one_of(
+    st.tuples(st.just("map"), _diff_vpns, _perms),
+    st.tuples(st.just("unmap"), _diff_vpns),
+    st.tuples(st.just("map_huge"), st.integers(0, 3), _perms),
+    st.tuples(st.just("split_huge"), st.integers(0, 3)),
+    st.tuples(st.just("protect"), _diff_vpns, _perms),
+)
+_probes = st.tuples(_diff_vpns, st.sampled_from(list(AccessType)), st.booleans())
+
+
+def _apply(pt: PageTable, op) -> object:
+    """Run one table op; returns the error type it raised, if any."""
+    kind, arg, *rest = op
+    try:
+        if kind == "map":
+            pt.map(arg, Pte(frame=arg + 0x100000, **rest[0]))
+        elif kind == "unmap":
+            pt.unmap(arg)
+        elif kind == "map_huge":
+            pt.map_huge(arg * HUGE_PAGE_PAGES,
+                        Pte(frame=(arg + 1) * 0x10000, **rest[0]))
+        elif kind == "split_huge":
+            pt.split_huge(arg * HUGE_PAGE_PAGES)
+        else:
+            pt.protect(arg, **rest[0])
+    except (HardwareError, ValueError) as exc:
+        return type(exc)
+    return None
+
+
+class TestResolveMatchesWalk:
+    """Differential check of the leaf-only ``resolve`` (the PSC-off EPT
+    leg) against the full ``walk`` on identical tables."""
+
+    @given(st.lists(st.tuples(_table_ops, _probes), max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_same_leaf_fault_and_ad_bits(self, steps):
+        walked = PageTable(PhysicalMemory("w", 64 * MIB), "w")
+        resolved = PageTable(PhysicalMemory("r", 64 * MIB), "r")
+        for op, (vpn, access, user) in steps:
+            assert _apply(walked, op) == _apply(resolved, op)
+            try:
+                result = walked.walk(vpn, access, user)
+            except PageFaultException as exc:
+                with pytest.raises(PageFaultException) as other:
+                    resolved.resolve(vpn, access, user)
+                assert other.value.fault == exc.fault
+            else:
+                pte = resolved.resolve(vpn, access, user)
+                assert pte == result.pte and pte.huge == result.huge
+                offset = vpn % HUGE_PAGE_PAGES if pte.huge else 0
+                assert pte.frame + offset == result.frame
+            assert (list(walked.iter_mappings())
+                    == list(resolved.iter_mappings()))
 
 
 class TestStatsProperties:

@@ -89,6 +89,31 @@ class TestBaselineContract:
             "parallel_jobs": 4,
         })
         assert "fan-out 2.50x @4j" in line
+        assert "nested" not in line  # phase absent: no nested segment
+        line = wallclock.summary_line({
+            "warm_translations_per_sec": 5e6,
+            "speedup_vs_legacy": 1.7,
+            "miss_walks_per_sec": 2e5,
+            "miss_psc_hit_rate": 0.99,
+            "faults_per_sec": 1.2e4,
+            "nested_faults_per_sec": 6.3e3,
+        })
+        assert "6.3k nested faults/s (psc off)" in line
+
+    def test_nested_fault_phase_is_gated_psc_off(self, monkeypatch):
+        """The PSC-off gate drives pvm (NST) with the default config —
+        the paper machines' configuration — not a PSC-on one."""
+        from repro.hypervisors.base import MachineConfig
+
+        seen = []
+        monkeypatch.setattr(
+            wallclock, "_fault_rate",
+            lambda name, config, npages: seen.append((name, config)) or 1.0,
+        )
+        assert wallclock.bench_nested_faults(64) == {"nested_faults_per_sec": 1.0}
+        assert seen == [("pvm (NST)", MachineConfig())]
+        assert not seen[0][1].psc
+        assert "nested_faults_per_sec" in wallclock.GATED_METRICS
 
 
 @pytest.mark.wallclock_bench
