@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List
@@ -46,6 +47,30 @@ def _stats_line(stats: RunStats, cache_enabled: bool) -> str:
             f"({stats.compute_seconds:.1f}s compute)")
 
 
+def _scale(text: str) -> float:
+    """``--scale``: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}"
+        )
+    return value
+
+
+def _jobs(text: str) -> int:
+    """``--jobs``: a whole number of worker processes, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def main(argv: List[str] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -63,11 +88,11 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument("--list", action="store_true", help="list experiments")
     parser.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=_scale, default=1.0,
         help="workload scale factor (1.0 = quick default)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_jobs, default=1,
         help="worker processes for the row fan-out (1 = in-process; "
              "output is bit-identical either way)",
     )

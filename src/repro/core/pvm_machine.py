@@ -136,8 +136,7 @@ class PvmMachine(Machine):
         self.shadow.drop_all()
         if self.nested:
             self.ept01.destroy()
-            for gfn1 in self._l1_backing.values():
-                self.l1_phys.free_frame(gfn1)
+            self.l1_phys.free_many(self._l1_backing.values())
             self._l1_backing.clear()
             self._l1_huge_bases.clear()
         super().teardown_guest_memory()

@@ -63,6 +63,10 @@ class ShadowManager:
         self._rmap: Dict[int, Set[Tuple[int, str, int]]] = {}
         #: Frames of guest page-table pages currently write-protected.
         self.write_protected_frames: Set[int] = set()
+        #: pid -> ``(gpt.uid, gpt.node_allocations, gpt.epoch)`` when its
+        #: guest table was last scanned: an unchanged stamp means no table
+        #: node was allocated or freed since, so a rescan finds nothing.
+        self._gpt_stamps: Dict[int, Tuple[int, int, int]] = {}
         #: target frame -> guest frame (inverse of translate_gfn, filled
         #: on sync so rmap maintenance on unmap is O(1)).
         self._inverse: Dict[int, int] = {}
@@ -107,9 +111,16 @@ class ShadowManager:
 
         Returns the number of frames newly protected.  Called when a
         process comes under shadow management; new table nodes are added
-        by :meth:`note_gpt_growth` as the guest table grows.
+        by :meth:`note_gpt_growth` as the guest table grows.  The scan is
+        skipped (0 returned) while the guest table has neither allocated
+        nor freed a node since this process's last scan.
         """
-        frames = set(proc.gpt.node_frames())
+        gpt = proc.gpt
+        stamp = (gpt.uid, gpt.node_allocations, gpt.epoch)
+        if self._gpt_stamps.get(proc.pid) == stamp:
+            return 0
+        self._gpt_stamps[proc.pid] = stamp
+        frames = set(gpt.node_frames())
         new = frames - self.write_protected_frames
         self.write_protected_frames |= new
         return len(new)
@@ -258,6 +269,7 @@ class ShadowManager:
         self._rmap.clear()
         self._inverse.clear()
         self.write_protected_frames.clear()
+        self._gpt_stamps.clear()
         return dropped
 
     def drop(self, proc: Process) -> int:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Set
+from operator import attrgetter
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.hw.types import GIB, PAGE_SHIFT, PAGE_SIZE, HardwareError
 
@@ -179,6 +180,56 @@ class FrameAllocator:
         """Return one frame to the pool."""
         self.free(FrameRange(frame, 1))
 
+    def free_many(self, frames: Iterable[int]) -> None:
+        """Return many single frames to the pool at once.
+
+        Leaves exactly the state that :meth:`free_frame` on each frame in
+        order would: under "stream" the batch queues in its own order;
+        under "firstfit" the free list is sorted, disjoint and fully
+        coalesced, so one sort of the batch and one merge rebuild it.  A frame
+        that is not allocated, or that appears twice, raises
+        :class:`HardwareError` before anything is freed.
+        """
+        batch = list(frames)
+        owner = self._owner
+        unique = set(batch)
+        if len(unique) != len(batch) or not owner.keys() >= unique:
+            seen: Set[int] = set()
+            for f in batch:
+                if f in seen or f not in owner:
+                    raise HardwareError(f"double free of frame {f:#x}")
+                seen.add(f)
+        for f in batch:
+            del owner[f]
+        if not batch:
+            return
+        if self.policy == "stream":
+            self._recycled.extend(batch)
+            return
+        # Group the batch into runs of consecutive frames, then coalesce
+        # them with the existing runs in one pass over both, by start.
+        fresh: List[FrameRange] = []
+        start = end = -1
+        for f in sorted(batch):
+            if f != end:
+                if end >= 0:
+                    fresh.append(FrameRange(start, end - start))
+                start = f
+            end = f + 1
+        if end >= 0:
+            fresh.append(FrameRange(start, end - start))
+        merged: List[FrameRange] = []
+        for run in sorted(self._free + fresh, key=attrgetter("start")):
+            if merged:
+                last = merged[-1]
+                if last.end > run.start:
+                    raise HardwareError("overlapping free ranges")
+                if last.end == run.start:
+                    merged[-1] = FrameRange(last.start, last.count + run.count)
+                    continue
+            merged.append(run)
+        self._free[:] = merged
+
     def owner_of(self, frame: int) -> Optional[str]:
         """Return the allocation tag of ``frame``, or None if free."""
         return self._owner.get(frame)
@@ -285,6 +336,10 @@ class PhysicalMemory:
     def free_frame(self, frame: int) -> None:
         """Return one frame to the pool."""
         self.allocator.free_frame(frame)
+
+    def free_many(self, frames: Iterable[int]) -> None:
+        """Return many single frames to the pool at once."""
+        self.allocator.free_many(frames)
 
     def alloc_aligned(self, count: int, tag: str = "anon") -> FrameRange:
         """Allocate naturally-aligned contiguous frames."""

@@ -16,7 +16,7 @@ the paper's world-switch formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.hw.memory import PhysicalMemory
 from repro.hw.types import (
@@ -209,7 +209,10 @@ class PageTable:
         #: release); paging-structure caches validate their cached node
         #: references against it so a stale node can never be resumed.
         self.epoch = 0
-        self.root = PageTableNode(levels, phys.alloc_frame(tag=self._tag))
+        #: ``(vpn >> LEVEL_BITS) & _leaf_mask`` keys the leaf-table index:
+        #: exactly the index bits a walk reads above level 1.
+        self._leaf_mask = (1 << (LEVEL_BITS * (levels - 1))) - 1
+        self._set_root(phys.alloc_frame(tag=self._tag))
         #: Total leaf mappings currently installed.
         self.mapped_pages = 0
         #: Monotric counters for tests/accounting.
@@ -252,7 +255,11 @@ class PageTable:
         """
         if pte.huge:
             raise HardwareError(f"{self.name}: huge PTE for {vpn:#x}; use map_huge")
-        node, allocated, written = self._descend(vpn, 1)
+        nodes = self._leaves.get((vpn >> LEVEL_BITS) & self._leaf_mask)
+        if nodes is None:
+            node, allocated, written = self._descend(vpn, 1)
+        else:
+            node, allocated, written = nodes[-1], (), []
         idx = vpn & _INDEX_MASK
         if idx in node.entries:
             raise HardwareError(f"{self.name}: vpn {vpn:#x} already mapped")
@@ -294,21 +301,20 @@ class PageTable:
         if vpn_base % HUGE_PAGE_PAGES:
             raise ValueError(f"huge base {vpn_base:#x} not aligned")
         node = self.root
-        path: List[Tuple[PageTableNode, int]] = []
+        nodes = [node]
         for level in range(self.levels, 2, -1):
-            idx = (vpn_base >> _SHIFT[level]) & _INDEX_MASK
-            child = node.entries.get(idx)
+            child = node.entries.get((vpn_base >> _SHIFT[level]) & _INDEX_MASK)
             if child.__class__ is not PageTableNode:
                 raise HardwareError(f"{self.name}: {vpn_base:#x} not huge-mapped")
-            path.append((node, idx))
             node = child
+            nodes.append(node)
         idx = (vpn_base >> _SHIFT[2]) & _INDEX_MASK
         pte = node.entries.get(idx)
         if pte.__class__ is not Pte or not pte.huge:
             raise HardwareError(f"{self.name}: {vpn_base:#x} not huge-mapped")
         self._write_entry(node, idx, None)
         self.mapped_pages -= HUGE_PAGE_PAGES
-        self._prune(node, path)
+        self._prune(vpn_base, nodes)
         return pte
 
     def split_huge(self, vpn_base: int) -> MapResult:
@@ -335,22 +341,15 @@ class PageTable:
         Empty intermediate nodes are freed eagerly so that long-running
         simulations do not leak table frames.
         """
-        path: List[Tuple[PageTableNode, int]] = []
-        node = self.root
-        for level in range(self.levels, 1, -1):
-            idx = (vpn >> _SHIFT[level]) & _INDEX_MASK
-            child = node.entries.get(idx)
-            if child.__class__ is not PageTableNode:
-                raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
-            path.append((node, idx))
-            node = child
-        idx = vpn & _INDEX_MASK
-        pte = node.entries.get(idx)
-        if pte.__class__ is not Pte:
+        # Every reachable level-1 table is indexed, so an index miss
+        # means no small mapping can cover ``vpn``.
+        nodes = self._leaves.get((vpn >> LEVEL_BITS) & self._leaf_mask)
+        pte = None if nodes is None else nodes[-1].entries.get(vpn & _INDEX_MASK)
+        if pte is None:
             raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
-        self._write_entry(node, idx, None)
+        self._write_entry(nodes[-1], vpn & _INDEX_MASK, None)
         self.mapped_pages -= 1
-        self._prune(node, path)
+        self._prune(vpn, nodes)
         return pte
 
     def protect(self, vpn: int, **flags: bool) -> Pte:
@@ -377,6 +376,9 @@ class PageTable:
         For a huge mapping, the (shared) huge PTE is returned for any
         vpn inside its 2 MiB run.
         """
+        nodes = self._leaves.get((vpn >> LEVEL_BITS) & self._leaf_mask)
+        if nodes is not None:
+            return nodes[-1].entries.get(vpn & _INDEX_MASK)
         node = self.root
         for level in range(self.levels, 1, -1):
             child = node.entries.get((vpn >> _SHIFT[level]) & _INDEX_MASK)
@@ -407,7 +409,18 @@ class PageTable:
         ``levels_walked`` then counts only the levels actually read, so
         charged cost and data-structure work agree.
         """
-        node = self.root if start is None else start
+        if start is None:
+            leaf = self._leaves.get((vpn >> LEVEL_BITS) & self._leaf_mask)
+            if leaf is not None:
+                pte = leaf[-1].entries.get(vpn & _INDEX_MASK)
+                if pte is None:
+                    raise PageFaultException(
+                        self._fault(vpn, access, user, False, 1)
+                    )
+                self._touch(pte, vpn, access, user, 1)
+                return WalkResult(frame=pte.frame, pte=pte, nodes=leaf)
+            start = self.root
+        node = start
         nodes: List[PageTableNode] = [node]
         for level in range(node.level, 1, -1):
             child = node.entries.get((vpn >> _SHIFT[level]) & _INDEX_MASK)
@@ -438,6 +451,12 @@ class PageTable:
         ``vpn % HUGE_PAGE_PAGES`` when ``pte.huge`` (huge PTEs only ever
         sit at level 2, see :meth:`map`).
         """
+        nodes = self._leaves.get((vpn >> LEVEL_BITS) & self._leaf_mask)
+        if nodes is not None:
+            pte = nodes[-1].entries.get(vpn & _INDEX_MASK)
+            if pte is None:
+                raise PageFaultException(self._fault(vpn, access, user, False, 1))
+            return self._touch(pte, vpn, access, user, 1)
         node = self.root
         for level in range(self.levels, 1, -1):
             child = node.entries.get((vpn >> _SHIFT[level]) & _INDEX_MASK)
@@ -504,23 +523,37 @@ class PageTable:
         Leaf target frames are not freed — they belong to whoever
         allocated the data pages.
         """
-        for frame in self.node_frames():
-            self.phys.free_frame(frame)
+        self.phys.free_many(self.node_frames())
         self.epoch += 1
-        self.root = PageTableNode(self.levels, self.phys.alloc_frame(tag=self._tag))
+        self._set_root(self.phys.alloc_frame(tag=self._tag))
         self.mapped_pages = 0
 
     def release(self) -> None:
         """Final teardown: free every table frame including the root.
 
-        The table is unusable afterwards; any access raises."""
-        for frame in self.node_frames():
-            self.phys.free_frame(frame)
+        The table is unusable afterwards: every mutation raises
+        :class:`HardwareError` and every lookup finds nothing."""
+        self.phys.free_many(self.node_frames())
         self.epoch += 1
         self.root = PageTableNode(self.levels, frame=-1)
+        self._leaves = {}
         self.mapped_pages = 0
 
     # -- internals -------------------------------------------------------
+
+    def _set_root(self, frame: int) -> None:
+        """Install an empty root table and reset the leaf-table index."""
+        self.root = PageTableNode(self.levels, frame)
+        #: Leaf-table index: ``(vpn >> LEVEL_BITS) & _leaf_mask`` -> the
+        #: root-down tuple of nodes ending at the level-1 table covering
+        #: ``vpn``, for every reachable level-1 table.  The tuple stays
+        #: exact while the leaf lives, because pruning frees only empty
+        #: tables, so no ancestor of a live leaf can change.  A miss
+        #: means no level-1 table covers ``vpn`` (absent upper levels or
+        #: a huge level-2 entry) and the caller descends from the root.
+        self._leaves: Dict[int, Tuple[PageTableNode, ...]] = (
+            {0: (self.root,)} if self.levels == 1 else {}
+        )
 
     def _write_entry(self, node: PageTableNode, idx: int, value: object) -> None:
         if self.write_hook is not None:
@@ -539,8 +572,14 @@ class PageTable:
 
         Returns the table plus the levels allocated and the frames
         written so far (root-down), for the caller's :class:`MapResult`.
+        A level-1 table reached here is entered into the leaf-table
+        index.  Index hits never come here, so this slow path is also
+        where a released table refuses to grow.
         """
         node = self.root
+        if node.frame < 0:
+            raise HardwareError(f"{self.name}: table used after release()")
+        nodes = [node]
         allocated: List[int] = []
         written: List[int] = []
         for level in range(self.levels, leaf_level, -1):
@@ -557,22 +596,35 @@ class PageTable:
             elif child.__class__ is not PageTableNode:
                 raise HardwareError(f"{self.name}: corrupt non-leaf at L{level}")
             node = child
+            nodes.append(node)
+        if leaf_level == 1:
+            self._leaves[(vpn >> LEVEL_BITS) & self._leaf_mask] = tuple(nodes)
         return node, allocated, written
 
-    def _prune(
-        self, node: PageTableNode, path: List[Tuple[PageTableNode, int]]
-    ) -> None:
-        """Free now-empty tables bottom-up, from ``node`` along ``path``."""
-        child = node
-        for parent, pidx in reversed(path):
+    def _prune(self, vpn: int, nodes: Sequence[PageTableNode]) -> None:
+        """Free now-empty tables bottom-up along ``nodes``: the root-down
+        path to ``vpn`` ending at the table an unmap just wrote."""
+        for i in range(len(nodes) - 1, 0, -1):
+            child = nodes[i]
             if child.entries:
                 break
             self.phys.free_frame(child.frame)
             self.epoch += 1
-            self._write_entry(parent, pidx, None)
-            child = parent
+            parent = nodes[i - 1]
+            self._write_entry(
+                parent, (vpn >> _SHIFT[parent.level]) & _INDEX_MASK, None
+            )
+            if child.level == 1:
+                del self._leaves[(vpn >> LEVEL_BITS) & self._leaf_mask]
 
     def _leaf_of(self, vpn: int) -> Tuple[PageTableNode, int, Pte]:
+        nodes = self._leaves.get((vpn >> LEVEL_BITS) & self._leaf_mask)
+        if nodes is not None:
+            idx = vpn & _INDEX_MASK
+            pte = nodes[-1].entries.get(idx)
+            if pte is None:
+                raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
+            return nodes[-1], idx, pte
         node = self.root
         for level in range(self.levels, 1, -1):
             idx = (vpn >> _SHIFT[level]) & _INDEX_MASK

@@ -484,8 +484,7 @@ class Machine(abc.ABC):
         references the freed frames; the base leaves translation caches
         to the supervisor's regular crash teardown.
         """
-        for hfn in self._backing.values():
-            self.host_phys.free_frame(hfn)
+        self.host_phys.free_many(self._backing.values())
         self._backing.clear()
         self._huge_gfn_bases.clear()
         self._discarded_gfns.clear()

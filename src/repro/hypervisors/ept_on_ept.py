@@ -157,8 +157,7 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
         """Eviction: drop both EPT dimensions and the L1 memslots."""
         self.ept12.destroy()
         self.ept02.destroy()
-        for gfn1 in self._l1_backing.values():
-            self.l1_phys.free_frame(gfn1)
+        self.l1_phys.free_many(self._l1_backing.values())
         self._l1_backing.clear()
         super().teardown_guest_memory()
 

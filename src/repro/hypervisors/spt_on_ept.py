@@ -265,8 +265,7 @@ class SptOnEptMachine(NestedVmxMixin, Machine):
         self._spts.clear()
         self._spt_rmap.clear()
         self.ept01.destroy()
-        for gfn1 in self._l1_backing.values():
-            self.l1_phys.free_frame(gfn1)
+        self.l1_phys.free_many(self._l1_backing.values())
         self._l1_backing.clear()
         super().teardown_guest_memory()
 

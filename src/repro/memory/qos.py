@@ -205,8 +205,7 @@ class ReclaimDaemon:
             self.stats.pressure_spikes += 1
 
     def _release_spike(self) -> None:
-        for hfn in self._spike_frames:
-            self.host.free_frame(hfn)
+        self.host.free_many(self._spike_frames)
         self._spike_frames.clear()
         self._spike_release_at = None
 

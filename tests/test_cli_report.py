@@ -38,6 +38,23 @@ class TestCli:
         assert main(["table2", "--chart", "--scale", "0.02"]) == 0
         assert "|#" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--scale", "nan", "finite number > 0"),
+        ("--scale", "inf", "finite number > 0"),
+        ("--scale", "-1", "finite number > 0"),
+        ("--scale", "0", "finite number > 0"),
+        ("--scale", "big", "not a number"),
+        ("--jobs", "0", "must be >= 1"),
+        ("--jobs", "-3", "must be >= 1"),
+        ("--jobs", "2.5", "not an integer"),
+    ])
+    def test_bad_flag_rejected(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and message in err
+
 
 class TestSyscallRegistry:
     def test_known_names(self):

@@ -113,6 +113,45 @@ class TestStreamPolicy:
             a.alloc_frame()
 
 
+class TestFreeMany:
+    def test_coalesces_like_single_frees(self):
+        batched, single = FrameAllocator(64), FrameAllocator(64)
+        for a in (batched, single):
+            for _ in range(40):
+                a.alloc_frame(tag="x")
+        victims = [7, 3, 4, 20, 5, 39, 0]
+        batched.free_many(victims)
+        for f in victims:
+            single.free_frame(f)
+        assert batched._free == single._free
+        assert batched._owner == single._owner
+        assert batched.free_frames == 64 - 40 + len(victims)
+
+    def test_stream_keeps_batch_order(self):
+        a = FrameAllocator(4, policy="stream")
+        frames = [a.alloc_frame() for _ in range(4)]
+        a.free_many([frames[2], frames[0], frames[3]])
+        assert [a.alloc_frame() for _ in range(3)] == [
+            frames[2], frames[0], frames[3]]
+
+    @pytest.mark.parametrize("batch", [[1, 1], [1, 6], [6], [2, 12]])
+    def test_double_free_rejected_atomically(self, batch):
+        a = FrameAllocator(16)
+        for _ in range(8):
+            a.alloc_frame()
+        a.free_frame(6)
+        free, owner = list(a._free), dict(a._owner)
+        with pytest.raises(HardwareError, match="double free"):
+            a.free_many(batch)
+        assert a._free == free and a._owner == owner
+
+    def test_physical_memory_forwards(self):
+        pm = PhysicalMemory("t", size_bytes=1 * MIB)
+        frames = [pm.alloc_frame() for _ in range(5)]
+        pm.free_many(frames)
+        assert pm.free_frames == 256
+
+
 class TestPhysicalMemory:
     def test_frame_counts(self):
         pm = PhysicalMemory("t", size_bytes=1 * MIB)

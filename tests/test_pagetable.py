@@ -295,6 +295,38 @@ class TestLifecycle:
         pt.release()
         assert phys.free_frames == before
 
+    @pytest.mark.parametrize("levels", [1, 2, PT_LEVELS])
+    def test_released_table_refuses_mutation(self, phys, levels):
+        pt = PageTable(phys, name="gone", levels=levels)
+        pt.map(0x1, Pte(frame=1))
+        pt.release()
+        free = phys.free_frames
+        assert pt._leaves == {}
+        mutations = [
+            lambda: pt.map(0x1, Pte(frame=1)),
+            lambda: pt.map(0x2, Pte(frame=2)),
+            lambda: pt.unmap(0x1),
+            lambda: pt.protect(0x1, writable=False),
+            lambda: pt.destroy(),
+            lambda: pt.release(),
+        ]
+        if levels >= 2:
+            mutations += [
+                lambda: pt.map_huge(0, Pte(frame=0)),
+                lambda: pt.unmap_huge(0),
+                lambda: pt.split_huge(0),
+            ]
+        for mutate in mutations:
+            with pytest.raises(HardwareError):
+                mutate()
+        # Nothing was allocated (no table frames leaked under a dead
+        # root) and reads find nothing.
+        assert phys.free_frames == free
+        assert pt.lookup(0x1) is None
+        assert pt.node_allocations == levels  # root + the one map's nodes
+        with pytest.raises(PageFaultException):
+            pt.walk(0x1, AccessType.READ, True)
+
     def test_write_hook_invoked(self, pt):
         touched = []
         pt.write_hook = touched.append
@@ -308,3 +340,48 @@ class TestLifecycle:
         pt.map(1 << 30, Pte(frame=2))
         # root + 2 x 3 inner/leaf nodes
         assert len(pt.node_frames()) == 7
+
+
+class TestLeafIndex:
+    """The leaf-table index short-cuts walks to the level-1 table."""
+
+    def test_walk_reuses_cached_ancestor_tuple(self, pt):
+        pt.map(0x1, Pte(frame=1))
+        pt.map(0x2, Pte(frame=2))
+        first = pt.walk(0x1, AccessType.READ, True)
+        second = pt.walk(0x2, AccessType.READ, True)
+        assert first.nodes is second.nodes
+        assert first.nodes[0] is pt.root and first.nodes[-1].level == 1
+        assert first.levels_walked == PT_LEVELS
+
+    def test_high_vpn_bits_alias_like_the_walk(self, pt):
+        # Bits above the top level's index are ignored by the walk, and
+        # so by the index key.
+        pt.map(0x5, Pte(frame=9))
+        alias = (1 << (9 * PT_LEVELS)) | 0x5
+        assert pt.lookup(alias) is pt.lookup(0x5)
+        assert pt.walk(alias, AccessType.READ, True).frame == 9
+
+    def test_entry_dropped_when_leaf_table_pruned(self, pt):
+        pt.map(0x1, Pte(frame=1))
+        assert len(pt._leaves) == 1
+        pt.unmap(0x1)
+        assert pt._leaves == {}
+        with pytest.raises(PageFaultException) as exc:
+            pt.walk(0x1, AccessType.READ, True)
+        assert exc.value.fault.level == PT_LEVELS
+
+    def test_huge_region_misses_index(self, pt):
+        pt.map_huge(0, Pte(frame=0x200))
+        assert pt._leaves == {}
+        assert pt.walk(7, AccessType.READ, True).frame == 0x207
+        pt.split_huge(0)
+        assert len(pt._leaves) == 1
+        assert pt.walk(7, AccessType.READ, True).frame == 0x207
+
+    def test_destroy_resets_index(self, pt):
+        pt.map(0x1, Pte(frame=1))
+        pt.destroy()
+        assert pt._leaves == {}
+        pt.map(0x1, Pte(frame=2))
+        assert pt.walk(0x1, AccessType.READ, True).nodes[0] is pt.root

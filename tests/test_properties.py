@@ -3,11 +3,27 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import make_machine
 from repro.hw.memory import FrameAllocator
-from repro.hw.pagetable import HUGE_PAGE_PAGES, PageFaultException, PageTable, Pte
+from repro.hw.pagetable import (
+    HUGE_PAGE_PAGES,
+    PageFaultException,
+    PageTable,
+    PageTableNode,
+    Pte,
+)
 from repro.hw.memory import PhysicalMemory
 from repro.hw.tlb import Tlb
-from repro.hw.types import MIB, AccessType, Asid, HardwareError, NUM_PCIDS
+from repro.hw.types import (
+    MIB,
+    NUM_PCIDS,
+    PAGE_SIZE,
+    AccessType,
+    Asid,
+    HardwareError,
+    PageFault,
+    PageFaultError,
+)
 from repro.guest.addrspace import AddressSpace, SegfaultError, Vma
 from repro.sim.clock import Clock
 from repro.sim.locks import SimLock
@@ -299,6 +315,244 @@ class TestResolveMatchesWalk:
                 assert pte.frame + offset == result.frame
             assert (list(walked.iter_mappings())
                     == list(resolved.iter_mappings()))
+
+
+#: vpns for the leaf-index streams: the differential set plus one whose
+#: bits above a 4-level walk's reach alias vpn 5 (shallower tables
+#: alias more of the set).
+_index_vpns = st.one_of(_diff_vpns, st.just((1 << 36) | 5))
+_index_ops = st.one_of(
+    st.tuples(st.just("map"), _index_vpns, _perms),
+    st.tuples(st.just("unmap"), _index_vpns),
+    st.tuples(st.just("map_huge"), st.integers(0, 3), _perms),
+    st.tuples(st.just("unmap_huge"), st.integers(0, 3)),
+    st.tuples(st.just("split_huge"), st.integers(0, 3)),
+    st.tuples(st.just("protect"), _index_vpns, _perms),
+    st.tuples(st.just("destroy"), st.just(0)),
+)
+_index_probes = st.tuples(
+    _index_vpns, st.sampled_from(list(AccessType)), st.booleans()
+)
+
+
+def _apply_index_op(pt: PageTable, op) -> None:
+    """One table op; table errors are part of the stream, not failures."""
+    kind, arg, *rest = op
+    if kind in ("map_huge", "unmap_huge", "split_huge") and pt.levels < 2:
+        return  # a huge entry needs a level-2 table
+    try:
+        if kind == "map":
+            pt.map(arg, Pte(frame=arg + 0x100000, **rest[0]))
+        elif kind == "unmap":
+            pt.unmap(arg)
+        elif kind == "map_huge":
+            pt.map_huge(arg * HUGE_PAGE_PAGES,
+                        Pte(frame=(arg + 1) * 0x10000, **rest[0]))
+        elif kind == "unmap_huge":
+            pt.unmap_huge(arg * HUGE_PAGE_PAGES)
+        elif kind == "split_huge":
+            pt.split_huge(arg * HUGE_PAGE_PAGES)
+        elif kind == "protect":
+            pt.protect(arg, **rest[0])
+        else:
+            pt.destroy()
+    except (HardwareError, ValueError):
+        pass
+
+
+def _reachable_leaves(pt: PageTable) -> dict:
+    """Reference index: every reachable level-1 table, keyed by the
+    index bits a walk reads above level 1, with its root-down nodes."""
+    leaves = {}
+    stack = [(pt.root, 0, (pt.root,))]
+    while stack:
+        node, key, path = stack.pop()
+        if node.level == 1:
+            leaves[key] = path
+            continue
+        for idx, child in node.entries.items():
+            if isinstance(child, PageTableNode):
+                stack.append((child, (key << 9) | idx, path + (child,)))
+    return leaves
+
+
+def _full_descent(pt: PageTable, vpn: int):
+    """Reference walk from the root, ignoring the index: the nodes read,
+    the entry where the walk stopped (or None) and its level."""
+    node, nodes = pt.root, [pt.root]
+    for level in range(pt.levels, 1, -1):
+        child = node.entries.get((vpn >> (9 * (level - 1))) & 511)
+        if not isinstance(child, PageTableNode):
+            return tuple(nodes), child, level
+        node = child
+        nodes.append(node)
+    return tuple(nodes), node.entries.get(vpn & 511), 1
+
+
+def _ids(nodes) -> tuple:
+    return tuple(id(node) for node in nodes)
+
+
+class TestLeafIndexProperties:
+    """The leaf-table index is exact and every indexed operation agrees
+    with a full descent from the root."""
+
+    @given(st.integers(1, 4),
+           st.lists(st.tuples(_index_ops, _index_probes), max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_index_exact_and_ops_match_descent(self, levels, steps):
+        pt = PageTable(PhysicalMemory("i", 64 * MIB), "i", levels=levels)
+        for op, (vpn, access, user) in steps:
+            _apply_index_op(pt, op)
+            assert ({k: _ids(v) for k, v in pt._leaves.items()}
+                    == {k: _ids(v) for k, v in _reachable_leaves(pt).items()})
+            nodes, entry, level = _full_descent(pt, vpn)
+            assert pt.lookup(vpn) is entry
+            self._check_translation(pt, pt.walk, vpn, access, user,
+                                    nodes, entry, level)
+            self._check_translation(pt, pt.resolve, vpn, access, user,
+                                    nodes, entry, level)
+            if entry is None or (level > 1 and not entry.huge):
+                for mutate in (lambda: pt.protect(vpn, writable=True),
+                               lambda: pt.unmap(vpn)):
+                    with pytest.raises(HardwareError):
+                        mutate()
+                continue
+            assert pt.protect(vpn, global_=True) is entry and entry.global_
+            if level == 1:
+                assert pt.unmap(vpn) is entry
+                assert pt.lookup(vpn) is None
+            else:
+                with pytest.raises(HardwareError):
+                    pt.unmap(vpn)  # a huge run unmaps only via unmap_huge
+
+    @staticmethod
+    def _check_translation(pt, translate, vpn, access, user,
+                           nodes, entry, level):
+        before = None if entry is None else (entry.accessed, entry.dirty)
+        if entry is None or not entry.permits(access, user):
+            with pytest.raises(PageFaultException) as exc:
+                translate(vpn, access, user)
+            error = PageFaultError.NONE
+            if entry is not None:
+                error |= PageFaultError.PRESENT
+            if access is AccessType.WRITE:
+                error |= PageFaultError.WRITE
+            if access is AccessType.EXECUTE:
+                error |= PageFaultError.FETCH
+            if user:
+                error |= PageFaultError.USER
+            assert exc.value.fault == PageFault(
+                vaddr=vpn << 12, access=access, error=error, level=level
+            )
+            if entry is not None:
+                assert (entry.accessed, entry.dirty) == before
+            return
+        result = translate(vpn, access, user)
+        assert entry.accessed
+        assert entry.dirty == (before[1] or access is AccessType.WRITE)
+        if translate == pt.resolve:
+            assert result is entry
+            return
+        huge = level == 2
+        assert result.pte is entry and result.huge == huge
+        assert result.frame == entry.frame + (vpn % HUGE_PAGE_PAGES
+                                              if huge else 0)
+        assert _ids(result.nodes) == _ids(nodes)
+        assert result.levels_walked == len(nodes)
+
+
+class TestFreeManyProperties:
+    """``free_many`` leaves exactly the state of one ``free_frame`` per
+    frame, in order, over fragmented pools."""
+
+    @given(st.sampled_from(["firstfit", "stream"]),
+           st.integers(8, 96), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sequential_frees(self, policy, total, data):
+        batched = FrameAllocator(total, policy=policy)
+        single = FrameAllocator(total, policy=policy)
+        for a in (batched, single):
+            live = [a.alloc_frame(tag=f"t{i % 3}") for i in range(total)]
+        # Fragment both pools the same way before the batch.
+        holes = data.draw(st.lists(st.sampled_from(live), unique=True))
+        for a in (batched, single):
+            for f in holes:
+                a.free_frame(f)
+        allocated = [f for f in live if f not in set(holes)]
+        batch = data.draw(st.permutations(allocated).flatmap(
+            lambda order: st.integers(0, len(order)).map(
+                lambda n: order[:n])))
+        batched.free_many(batch)
+        for f in batch:
+            single.free_frame(f)
+        assert batched._free == single._free
+        assert batched._owner == single._owner
+        assert list(batched._recycled) == list(single._recycled)
+        assert batched.free_frames == single.free_frames
+        if batch or holes:
+            again = data.draw(st.sampled_from(list(batch) + holes))
+            with pytest.raises(HardwareError):
+                batched.free_many([again])
+        if batch:
+            survivors = [f for f in allocated if f not in set(batch)]
+            if survivors:
+                with pytest.raises(HardwareError):
+                    batched.free_many([survivors[0], survivors[0]])
+
+
+_pvm_ops = st.one_of(
+    st.tuples(st.just("mmap"), st.integers(0, 7), st.integers(1, 40)),
+    st.tuples(st.just("touch"), st.integers(0, 7), st.integers(0, 7),
+              st.integers(0, 600), st.booleans()),
+    st.tuples(st.just("fork"), st.integers(0, 7)),
+    st.tuples(st.just("exec"), st.integers(0, 7)),
+    st.tuples(st.just("munmap"), st.integers(0, 7), st.integers(0, 7)),
+    st.tuples(st.just("exit"), st.integers(0, 7)),
+)
+
+
+class TestGptWriteProtectProperties:
+    """Skipping the guest-table rescan when nothing changed protects the
+    same frames as rescanning on every fault."""
+
+    @given(st.lists(_pvm_ops, max_size=25))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_always_rescan(self, ops):
+        machine = make_machine("pvm (BM)")
+        shadow = machine.shadow
+        rescanned = set()
+        incremental = shadow.write_protect_gpt
+
+        def write_protect_gpt(proc):
+            rescanned.update(proc.gpt.node_frames())
+            return incremental(proc)
+
+        shadow.write_protect_gpt = write_protect_gpt
+        ctx = machine.new_context()
+        procs = [machine.spawn_process()]
+        for kind, pi, *rest in ops:
+            proc = procs[pi % len(procs)]
+            vmas = list(proc.addr_space)
+            try:
+                if kind == "mmap":
+                    machine.mmap(ctx, proc, rest[0] * PAGE_SIZE)
+                elif kind == "touch" and vmas:
+                    vma = vmas[rest[0] % len(vmas)]
+                    vpn = vma.start_vpn + rest[1] % (vma.end_vpn - vma.start_vpn)
+                    machine.touch(ctx, proc, vpn, write=rest[2])
+                elif kind == "fork":
+                    procs.append(machine.fork(ctx, proc))
+                elif kind == "exec":
+                    machine.exec(ctx, proc, image_pages=8)
+                elif kind == "munmap" and vmas:
+                    machine.munmap(ctx, proc, vmas[rest[0] % len(vmas)])
+                elif kind == "exit" and len(procs) > 1:
+                    machine.exit(ctx, proc)
+                    procs.remove(proc)
+            except SegfaultError:
+                pass
+            assert shadow.write_protected_frames == rescanned
 
 
 class TestStatsProperties:

@@ -116,6 +116,35 @@ class TestBaselineContract:
         assert "nested_faults_per_sec" in wallclock.GATED_METRICS
 
 
+    def test_parallel_speedup_is_median_of_repeats(self, monkeypatch):
+        """Each repeat times one serial and one fan-out pass; the
+        reported speedup is the median ratio, not one draw."""
+        from repro.bench import parallel as par
+
+        clock = [0.0]
+        # (serial, fan-out) durations per repeat: ratios 2.0, 1.0, 4.0.
+        durations = iter([2.0, 1.0, 2.0, 2.0, 2.0, 0.5])
+        jobs_seen = []
+
+        def fake_map_units(fn, units, jobs):
+            jobs_seen.append(jobs)
+            clock[0] += next(durations)
+            return [("uid", "row")]
+
+        monkeypatch.setattr(par, "plan_units", lambda exps, scale: [1, 2])
+        monkeypatch.setattr(par, "map_units", fake_map_units)
+        monkeypatch.setattr(wallclock.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(wallclock.time, "perf_counter", lambda: clock[0])
+        results = wallclock.bench_parallel_speedup()
+        assert wallclock.PARALLEL_BENCH_REPEATS == 3
+        assert jobs_seen == [1, 2] * 3
+        assert results == {
+            "parallel_speedup": 2.0,
+            "parallel_jobs": 2,
+            "parallel_units_per_sec": 2 / 1.0,
+        }
+
+
 @pytest.mark.wallclock_bench
 class TestThroughput:
     """Wall-clock timing assertions — excluded from tier-1 (noisy on
