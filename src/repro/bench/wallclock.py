@@ -52,6 +52,7 @@ GATED_METRICS = (
     "miss_walks_per_sec",
     "faults_per_sec",
     "nested_faults_per_sec",
+    "exit_roundtrips_per_sec",
     "parallel_speedup",
     "qos_off_fleet_pages_per_sec",
 )
@@ -281,6 +282,34 @@ def bench_nested_faults(npages: int) -> Dict[str, float]:
         "pvm (NST)", MachineConfig(), npages)}
 
 
+#: The nested machines whose exit paths ``bench_exit_roundtrips`` drives:
+#: PVM's switcher legs and hardware nesting's L2->L0->L1 bounce.
+EXIT_BENCH_MACHINES = ("pvm (NST)", "kvm-ept (NST)")
+#: Table 1's privileged operations, as Machine methods.
+EXIT_BENCH_OPS = ("hypercall", "exception", "msr_access", "cpuid", "pio")
+
+
+def bench_exit_roundtrips(iters: int) -> Dict[str, float]:
+    """Table 1 round trips on :data:`EXIT_BENCH_MACHINES`: ``iters`` of
+    each privileged operation per machine (best of :data:`REPEATS`).
+    No paging: every op is world-switch legs, event counters, the L0
+    service lock and handler charges."""
+    from repro import make_machine
+
+    calls = []
+    for name in EXIT_BENCH_MACHINES:
+        machine = make_machine(name)
+        ctx = machine.new_context()
+        calls += [(getattr(machine, op), ctx) for op in EXIT_BENCH_OPS]
+
+    def loop() -> None:
+        for call, ctx in calls:
+            for _ in range(iters):
+                call(ctx)
+
+    return {"exit_roundtrips_per_sec": len(calls) * iters / _best_elapsed(loop)}
+
+
 def bench_qos_fleet(scale: float = 1.0) -> Dict[str, float]:
     """Fleet throughput with the memory-QoS hooks off versus on.
 
@@ -390,6 +419,7 @@ def run_benchmarks(scale: float = 1.0) -> Dict[str, float]:
     results.update(bench_miss_walks(iters=max(1, int(12 * scale))))
     results.update(bench_faults(npages=max(64, int(3000 * scale))))
     results.update(bench_nested_faults(npages=max(64, int(3000 * scale))))
+    results.update(bench_exit_roundtrips(iters=max(1, int(4000 * scale))))
     results.update(bench_qos_fleet(scale=scale))
     results.update(bench_parallel_speedup(scale=scale))
     return results
@@ -478,6 +508,11 @@ def summary_line(results: Dict[str, float]) -> str:
         line += (
             f", {results['nested_faults_per_sec'] / 1e3:.1f}k nested "
             f"faults/s (psc off)"
+        )
+    if "exit_roundtrips_per_sec" in results:
+        line += (
+            f", {results['exit_roundtrips_per_sec'] / 1e3:.0f}k nested "
+            f"exit round trips/s"
         )
     if "parallel_speedup" in results:
         line += (

@@ -15,6 +15,7 @@ when the prefault optimization is disabled.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List
 
 from repro.core.hypervisor import PvmHypervisor
@@ -30,7 +31,21 @@ from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import EptViolationException
 from repro.hw.pagetable import PageTable, Pte
 from repro.hw.types import AccessType, Asid, EptViolation, PageFault
-from repro.hypervisors.base import CpuCtx, Machine
+from repro.hypervisors.base import PRIVILEGED_HANDLERS, CpuCtx, Machine
+
+
+def _weak_method(obj, name: str):
+    """``getattr(obj, name)`` that does not keep ``obj`` alive.
+
+    The shadow manager and the switcher call back into the machine that
+    owns them.  Bound methods would close a reference cycle, so a
+    retired machine, with its page tables, shadow state and per-page
+    locks, would wait for the cyclic garbage collector instead of being
+    freed when its last reference goes.
+    """
+    ref = weakref.ref(obj)
+    func = getattr(type(obj), name)
+    return lambda *args: func(ref(), *args)
 
 
 class PvmMachine(Machine):
@@ -55,20 +70,21 @@ class PvmMachine(Machine):
             self._l1_backing: Dict[int, int] = {}
             #: gfn1 bases of 2 MiB L1 blocks (for huge EPT01 warm fills).
             self._l1_huge_bases: set = set()
-            table_phys, translate = self.l1_phys, self._gfn1_for
+            table_phys, translate, block = (
+                self.l1_phys, "_gfn1_for", "_gfn1_block_for")
         else:
-            table_phys, translate = self.host_phys, self.backing_frame
+            table_phys, translate, block = (
+                self.host_phys, "backing_frame", "backing_block")
         self.shadow = ShadowManager(
-            table_phys, self.costs, translate, kpti=self.config.kpti,
-            translate_block=(
-                self._gfn1_block_for if nested else self.backing_block
-            ),
+            table_phys, self.costs, _weak_method(self, translate),
+            kpti=self.config.kpti, translate_block=_weak_method(self, block),
         )
         if not self.config.pcid_mapping:
             # Without per-process PCIDs every guest CR3 load flushes the
             # guest's TLB tag (no NOFLUSH bit usable) — the cold-start
             # penalty the PCID-mapping optimization removes.
-            self.hv.switcher.on_guest_cr3_load = self._flush_on_cr3_load
+            self.hv.switcher.on_guest_cr3_load = _weak_method(
+                self, "_flush_on_cr3_load")
 
     def _flush_on_cr3_load(self, clock, cpu_id: int) -> None:
         if cpu_id < len(self.contexts):
@@ -425,13 +441,7 @@ class PvmMachine(Machine):
 
     def _privileged(self, ctx: CpuCtx, kind: str) -> None:
         sw = self.hv.switcher
-        handler = {
-            "hypercall": self.costs.pvm_hypercall_handler,
-            "exception": self.costs.pvm_exception_handler,
-            "msr": self.costs.pvm_msr_handler,
-            "cpuid": self.costs.pvm_cpuid_handler,
-            "pio": self.costs.pvm_pio_handler,
-        }[kind]
+        handler = getattr(self.costs, PRIVILEGED_HANDLERS[kind][1])
         sw.vm_exit(ctx.clock, ctx.cpu_id, kind)
         ctx.clock.advance(handler)
         if self.nested and kind in ("exception", "msr"):

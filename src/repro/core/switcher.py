@@ -28,7 +28,7 @@ from typing import Callable, Dict, Optional
 from repro.guest.interrupts import HandlerSite, Idt
 from repro.hw.costs import CostModel
 from repro.hw.cpu import SharedIfWord
-from repro.hw.events import EventLog, SwitchKind
+from repro.hw.events import EventLog, SwitchKind, TraceEvent
 from repro.sim.clock import Clock
 
 
@@ -66,24 +66,33 @@ class SwitcherState:
     #: Registers cleared on the last exit (security invariant; tests
     #: assert this is always True after a world switch to the hypervisor).
     regs_cleared: bool = True
+    #: Guest-state saves and host-state restores (one each per VM exit).
     saves: int = 0
     restores: int = 0
 
-    def save_guest(self) -> None:
-        """Count one guest-state save into the switcher state."""
-        self.saves += 1
 
-    def restore_host(self) -> None:
-        """Count one host-state restore from the switcher state."""
-        self.restores += 1
+#: ``world_switches`` keys of the two switcher leg kinds.
+_PVM_KEY = SwitchKind.PVM_L2_L1.value
+_DIRECT_KEY = SwitchKind.PVM_DIRECT.value
 
 
 class Switcher:
-    """The switcher: world-switch engine between L2 and the PVM hypervisor."""
+    """The switcher: world-switch engine between L2 and the PVM hypervisor.
+
+    Each leg is one pass of straight-line code.  It advances the clock
+    and bumps the ``world_switches``/``l1_exits`` counters in place
+    (the arithmetic of :meth:`Clock.advance` and :meth:`EventLog.switch`;
+    :class:`CostModel` rejects negative costs at construction), then
+    appends its :class:`TraceEvent` when the log is detailed.
+    """
 
     def __init__(self, costs: CostModel, events: EventLog) -> None:
         self.costs = costs
         self.events = events
+        # Leg costs, copied once (the cost model is frozen).
+        self._switch_ns = costs.pvm_world_switch
+        self._direct_ns = costs.ring_transition + costs.direct_switch_extra
+        self._direct_at_user_ring_ns = costs.direct_switch_extra
         self._states: Dict[int, SwitcherState] = {}
         #: The customized IDT mapped over the guest's IDTR target.
         self.idt = Idt(default_site=HandlerSite.SWITCHER)
@@ -97,10 +106,6 @@ class Switcher:
         #: set NOFLUSH and the guest's translations are wiped each time
         #: (the "cold-start penalty" of §3.3.2).
         self.on_guest_cr3_load: Optional[Callable[[Clock, int], None]] = None
-
-    def _guest_cr3_loaded(self, clock: Clock, cpu_id: int) -> None:
-        if self.on_guest_cr3_load is not None:
-            self.on_guest_cr3_load(clock, cpu_id)
 
     def state_for(self, cpu_id: int) -> SwitcherState:
         """The per-CPU switcher state (created on first use)."""
@@ -123,14 +128,26 @@ class Switcher:
         state saved to the per-CPU switcher state, host state restored,
         general-purpose registers cleared.
         """
-        state = self.state_for(cpu_id)
-        state.save_guest()
-        state.restore_host()
+        state = self._states.get(cpu_id)
+        if state is None:
+            state = self.state_for(cpu_id)
+        state.saves += 1
+        state.restores += 1
         state.regs_cleared = True
         state.world = GuestWorld.HYPERVISOR
-        clock.advance(self.costs.pvm_world_switch)
-        self.events.switch(SwitchKind.PVM_L2_L1, clock.now, cpu_id)
-        self.events.l1_exit(reason, clock.now, cpu_id)
+        clock.now += self._switch_ns
+        events = self.events
+        counter = events.world_switches
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[_PVM_KEY] = by_key.get(_PVM_KEY, 0) + 1
+        counter = events.l1_exits
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[reason] = by_key.get(reason, 0) + 1
+        if events.detailed:
+            events.trace.append(TraceEvent(clock.now, cpu_id, "switch", _PVM_KEY))
+            events.trace.append(TraceEvent(clock.now, cpu_id, "l1_exit", reason))
         self.vm_exits += 1
         return state
 
@@ -144,12 +161,22 @@ class Switcher:
         """
         if world is GuestWorld.HYPERVISOR:
             raise ValueError("vm_enter targets a guest world")
-        state = self.state_for(cpu_id)
+        state = self._states.get(cpu_id)
+        if state is None:
+            state = self.state_for(cpu_id)
         state.world = world
-        clock.advance(self.costs.pvm_world_switch)
-        self.events.switch(SwitchKind.PVM_L2_L1, clock.now, cpu_id)
+        clock.now += self._switch_ns
+        events = self.events
+        counter = events.world_switches
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[_PVM_KEY] = by_key.get(_PVM_KEY, 0) + 1
+        if events.detailed:
+            events.trace.append(TraceEvent(clock.now, cpu_id, "switch", _PVM_KEY))
         self.vm_entries += 1
-        self._guest_cr3_loaded(clock, cpu_id)
+        hook = self.on_guest_cr3_load
+        if hook is not None:
+            hook(clock, cpu_id)
         return state
 
     # -- direct switch ---------------------------------------------------------
@@ -166,11 +193,7 @@ class Switcher:
         if state.world is not GuestWorld.USER:
             raise RuntimeError("direct switch to kernel requires v_ring3")
         state.world = GuestWorld.KERNEL
-        clock.advance(self.costs.ring_transition + self.costs.direct_switch_extra)
-        self.events.switch(SwitchKind.PVM_DIRECT, clock.now, cpu_id)
-        self.direct_switches += 1
-        self._guest_cr3_loaded(clock, cpu_id)
-        return state
+        return self._direct_switch(clock, cpu_id, state, self._direct_ns)
 
     def direct_switch_to_user(self, clock: Clock, cpu_id: int,
                               at_user_ring: bool = False) -> SwitcherState:
@@ -185,11 +208,22 @@ class Switcher:
         if state.world is not GuestWorld.KERNEL:
             raise RuntimeError("direct switch to user requires v_ring0")
         state.world = GuestWorld.USER
-        cost = self.costs.direct_switch_extra
-        if not at_user_ring:
-            cost += self.costs.ring_transition
-        clock.advance(cost)
-        self.events.switch(SwitchKind.PVM_DIRECT, clock.now, cpu_id)
+        cost = self._direct_at_user_ring_ns if at_user_ring else self._direct_ns
+        return self._direct_switch(clock, cpu_id, state, cost)
+
+    def _direct_switch(self, clock: Clock, cpu_id: int, state: SwitcherState,
+                       cost: int) -> SwitcherState:
+        """The shared tail of both direct-switch legs."""
+        clock.now += cost
+        events = self.events
+        counter = events.world_switches
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[_DIRECT_KEY] = by_key.get(_DIRECT_KEY, 0) + 1
+        if events.detailed:
+            events.trace.append(TraceEvent(clock.now, cpu_id, "switch", _DIRECT_KEY))
         self.direct_switches += 1
-        self._guest_cr3_loaded(clock, cpu_id)
+        hook = self.on_guest_cr3_load
+        if hook is not None:
+            hook(clock, cpu_id)
         return state

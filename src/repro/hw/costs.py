@@ -20,7 +20,7 @@ hypercall_handler`` from the nested exit state machine in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict
 
 
@@ -209,6 +209,17 @@ class CostModel:
     exec_body: int = 250_000
     #: Context switch between guest processes (scheduler + CR3 write).
     context_switch: int = 1200
+
+    def __post_init__(self) -> None:
+        # Every charge site may add a cost straight onto a clock, so a
+        # bad constant must fail here, naming itself, not mid-run.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is bool or not isinstance(value, int) or value < 0:
+                raise ValueError(
+                    f"CostModel.{f.name} must be a non-negative int "
+                    f"(nanoseconds), got {value!r}"
+                )
 
     def derived(self) -> Dict[str, int]:
         """Round-trip costs implied by the model (for reports/tests)."""

@@ -25,7 +25,7 @@ from repro.guest.kernel import ForkWork, GptFix, GuestKernel
 from repro.guest.process import Process
 from repro.guest.syscalls import Syscall, syscall as lookup_syscall
 from repro.hw.costs import CostModel, DEFAULT_COSTS
-from repro.hw.events import EventLog, SwitchKind
+from repro.hw.events import EventLog, SwitchKind, TraceEvent
 from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import EptViolationException, Mmu
 from repro.hw.pagetable import PageFaultException
@@ -34,6 +34,21 @@ from repro.hw.tlb import Tlb
 from repro.hw.types import MIB, AccessType, Asid, PageFault
 from repro.sim.clock import Clock
 from repro.sim.locks import SimLock
+
+
+#: Table 1 privileged operation -> the :class:`CostModel` fields of its
+#: handler body: (hardware-assisted VMX, PVM).
+PRIVILEGED_HANDLERS: Dict[str, Tuple[str, str]] = {
+    "hypercall": ("hypercall_handler", "pvm_hypercall_handler"),
+    "exception": ("exception_handler", "pvm_exception_handler"),
+    "msr": ("msr_handler", "pvm_msr_handler"),
+    "cpuid": ("cpuid_handler", "pvm_cpuid_handler"),
+    "pio": ("pio_handler", "pvm_pio_handler"),
+}
+
+
+#: Valid :attr:`MachineConfig.sanitize_mode` values.
+SANITIZE_MODES = ("sampled", "full")
 
 
 @dataclass
@@ -83,6 +98,19 @@ class MachineConfig:
     #: "sampled" cross-checks a deterministic subset of TLB entries per
     #: sync; "full" audits every cached entry after every SPT fix/zap.
     sanitize_mode: str = "sampled"
+
+    def __post_init__(self) -> None:
+        if self.sanitize_mode not in SANITIZE_MODES:
+            raise ValueError(
+                f"MachineConfig.sanitize_mode must be one of "
+                f"{SANITIZE_MODES}, got {self.sanitize_mode!r}"
+            )
+        retries = self.max_fault_retries
+        if type(retries) is not int or retries < 1:
+            raise ValueError(
+                f"MachineConfig.max_fault_retries must be an int >= 1, "
+                f"got {retries!r}"
+            )
 
 
 @dataclass
@@ -603,9 +631,22 @@ class Machine(abc.ABC):
     # -- shared plumbing -----------------------------------------------------
 
     def hw_exit_entry(self, ctx: CpuCtx, kind: SwitchKind) -> None:
-        """One hardware world switch (one direction)."""
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(kind, ctx.clock.now, ctx.cpu_id)
+        """One hardware world switch (one direction) of a ``HW_*`` kind.
+
+        The one hardware leg, updated in place: the arithmetic of
+        :meth:`Clock.advance` and :meth:`EventLog.switch` without their
+        calls (:class:`CostModel` rejects negative costs up front).
+        """
+        clock = ctx.clock
+        clock.now += self.costs.hw_world_switch
+        events = self.events
+        key = kind._value_
+        counter = events.world_switches
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[key] = by_key.get(key, 0) + 1
+        if events.detailed:
+            events.trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", key))
 
     def guest_internal_transition(self, ctx: CpuCtx) -> None:
         """User<->kernel switch fully inside a hardware-paged guest."""

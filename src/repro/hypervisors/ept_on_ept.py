@@ -13,11 +13,11 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.guest.process import Process
-from repro.hw.events import FaultPhase, SwitchKind
+from repro.hw.events import FaultPhase
 from repro.hw.memory import PhysicalMemory
 from repro.hw.pagetable import PageTable, Pte
 from repro.hw.types import AccessType, EptViolation, PageFault
-from repro.hypervisors.base import CpuCtx, Machine
+from repro.hypervisors.base import PRIVILEGED_HANDLERS, CpuCtx, Machine
 from repro.hypervisors.nested import NestedVmxMixin
 
 
@@ -194,13 +194,7 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
         self.guest_internal_transition(ctx)
 
     def _privileged(self, ctx: CpuCtx, kind: str) -> None:
-        handler = {
-            "hypercall": self.costs.hypercall_handler,
-            "exception": self.costs.exception_handler,
-            "msr": self.costs.msr_handler,
-            "cpuid": self.costs.cpuid_handler,
-            "pio": self.costs.pio_handler,
-        }[kind]
+        handler = getattr(self.costs, PRIVILEGED_HANDLERS[kind][0])
         self.nested_privileged_roundtrip(ctx, handler, kind)
         if kind == "pio":
             # Device emulation lives in L1 userspace; each leg of the
@@ -209,46 +203,6 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
                 self.l1_l0_service(
                     ctx, self.costs.vmcs_merge_reload, reason="pio-userspace"
                 )
-
-    def virtio_doorbell(self, ctx: CpuCtx) -> None:
-        """L2's kick is forwarded to L1's vhost, whose backend I/O rides
-        L1's own virtio to the host — a nested round trip plus one
-        ordinary L1<->L0 leg."""
-        self.nested_privileged_roundtrip(
-            ctx, self.costs.virtio_doorbell_handler, "virtio-doorbell"
-        )
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
-        self.events.l0_trap("virtio-backend")
-        self.l0_lock.run_locked(ctx.clock, self.costs.virtio_doorbell_handler)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
-
-    # -- interrupts / halt ------------------------------------------------------------------
-
-    def deliver_timer(self, ctx: CpuCtx) -> None:
-        """External interrupt: L2 exits to L0, L0 injects into L1, L1
-        handles and re-enters L2 through a full merge/reload."""
-        san = self.vmx_sanitizer
-        if san is not None:
-            san.vm_exit("interrupt")
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L2_L0, ctx.clock.now, ctx.cpu_id)
-        self.events.l0_trap("interrupt")
-        self.l0_lock.run_locked(ctx.clock, self.costs.irq_inject)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
-        ctx.clock.advance(self.costs.irq_handler)
-        self.l1_resume_l2(ctx)
-        self.events.interrupt("timer")
-
-    def halt(self, ctx: CpuCtx, wake_after_ns: int) -> None:
-        """HLT traps through the full nested path in both directions."""
-        self.l2_exit_to_l1(ctx, "hlt")
-        ctx.clock.advance(wake_after_ns)
-        ctx.clock.advance(self.costs.halt_wake_hw)
-        self.l1_resume_l2(ctx)
-        self.events.emulate("hlt")
 
     # -- helpers ---------------------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from repro.hw.events import FaultPhase, SwitchKind
 from repro.hw.pagetable import PageTable, Pte
 from repro.hw.types import AccessType, EptViolation, PageFault
 from repro.hw.vmx import VmxCapabilities
-from repro.hypervisors.base import CpuCtx, Machine
+from repro.hypervisors.base import PRIVILEGED_HANDLERS, CpuCtx, Machine
 
 
 class KvmEptMachine(Machine):
@@ -102,20 +102,12 @@ class KvmEptMachine(Machine):
             # KVM can often access MSRs directly from non-root mode; the
             # paper's kvm MSR row reflects a full exit + emulate anyway.
             pass
+        handler = getattr(self.costs, PRIVILEGED_HANDLERS[kind][0])
         self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
         self.events.l0_trap(kind)
-        ctx.clock.advance(self._handler_cost(kind))
+        ctx.clock.advance(handler)
         self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
         self.events.emulate(kind)
-
-    def _handler_cost(self, kind: str) -> int:
-        return {
-            "hypercall": self.costs.hypercall_handler,
-            "exception": self.costs.exception_handler,
-            "msr": self.costs.msr_handler,
-            "cpuid": self.costs.cpuid_handler,
-            "pio": self.costs.pio_handler,
-        }[kind]
 
     # -- interrupts / halt --------------------------------------------------------
 

@@ -49,8 +49,7 @@ class NestedVmxMixin:
         san = self.vmx_sanitizer
         if san is not None:
             san.vm_exit(reason)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L2_L0, ctx.clock.now, ctx.cpu_id)
+        self.hw_exit_entry(ctx, SwitchKind.HW_L2_L0)
         self.events.l0_trap("l2-exit:" + reason)
         self.l0_lock.run_locked(
             ctx.clock, self.costs.l0_forward_overhead + serialized_ns
@@ -58,39 +57,38 @@ class NestedVmxMixin:
         self.vmcs01.queue_injection(
             PendingEvent(kind=ExitReason.EXCEPTION, payload=reason)
         )
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
+        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
 
     def l1_resume_l2(self: Machine, ctx: CpuCtx, serialized_ns: int = 0) -> None:
         """L1 VMRESUMEs L2: L1 -> L0 (VMRESUME trap) -> L2 (real entry).
 
         Two world switches, one L0 exit, dominated by the VMCS02
         merge/reload in root mode (serialized on the L0 service lock).
+        L1 has consumed every event forwarded into VMCS01 by the time it
+        resumes, so the queue is drained here (without a VMWRITE: the
+        generation, and so VMCS02 staleness, is unchanged).
         """
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
+        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
         self.events.l0_trap("vmresume")
         self.l0_lock.run_locked(
             ctx.clock, self.costs.vmcs_merge_reload + serialized_ns
         )
+        self.vmcs01.pending.clear()
         self.vmcs_shadow.merge()
         san = self.vmx_sanitizer
         if san is not None:
             san.vm_entry("vmresume")
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L2_L0, ctx.clock.now, ctx.cpu_id)
+        self.hw_exit_entry(ctx, SwitchKind.HW_L2_L0)
 
     def l1_l0_service(self: Machine, ctx: CpuCtx, work_ns: int,
                       reason: str = "service") -> None:
         """An L1 privileged operation emulated by L0 (e.g. a trapped
         write to a read-only nested table): L1 -> L0 -> L1."""
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
+        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
         self.events.l0_trap("l1-service:" + reason)
         self.l0_lock.run_locked(ctx.clock, work_ns)
         self.events.emulate(reason)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
+        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
 
     def l2_l0_roundtrip(self: Machine, ctx: CpuCtx, work_ns: int,
                         reason: str = "l0-direct") -> None:
@@ -99,8 +97,7 @@ class NestedVmxMixin:
         san = self.vmx_sanitizer
         if san is not None:
             san.vm_exit(reason)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L2_L0, ctx.clock.now, ctx.cpu_id)
+        self.hw_exit_entry(ctx, SwitchKind.HW_L2_L0)
         self.events.l0_trap("l2-direct:" + reason)
         self.l0_lock.run_locked(ctx.clock, work_ns)
         self.events.emulate(reason)
@@ -108,8 +105,7 @@ class NestedVmxMixin:
             # Direct L0 handling re-enters on the unchanged VMCS02 — no
             # merge needed (nothing bumped VMCS01/VMCS12 generations).
             san.vm_entry("l2-direct:" + reason)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L2_L0, ctx.clock.now, ctx.cpu_id)
+        self.hw_exit_entry(ctx, SwitchKind.HW_L2_L0)
 
     # -- composite round trips ------------------------------------------------
 
@@ -122,3 +118,39 @@ class NestedVmxMixin:
         ctx.clock.advance(handler_ns)
         self.events.emulate(reason)
         self.l1_resume_l2(ctx)
+
+    def virtio_doorbell(self: Machine, ctx: CpuCtx) -> None:
+        """L2's kick is forwarded to L1's vhost, whose backend I/O rides
+        L1's own virtio to the host: a nested round trip plus one
+        ordinary L1<->L0 leg."""
+        self.nested_privileged_roundtrip(
+            ctx, self.costs.virtio_doorbell_handler, "virtio-doorbell"
+        )
+        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+        self.events.l0_trap("virtio-backend")
+        self.l0_lock.run_locked(ctx.clock, self.costs.virtio_doorbell_handler)
+        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+
+    # -- interrupts / halt ------------------------------------------------------
+
+    def deliver_timer(self: Machine, ctx: CpuCtx) -> None:
+        """External interrupt: L2 exits to L0, L0 injects into L1, L1
+        handles and re-enters L2 through a full merge/reload."""
+        san = self.vmx_sanitizer
+        if san is not None:
+            san.vm_exit("interrupt")
+        self.hw_exit_entry(ctx, SwitchKind.HW_L2_L0)
+        self.events.l0_trap("interrupt")
+        self.l0_lock.run_locked(ctx.clock, self.costs.irq_inject)
+        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+        ctx.clock.advance(self.costs.irq_handler)
+        self.l1_resume_l2(ctx)
+        self.events.interrupt("timer")
+
+    def halt(self: Machine, ctx: CpuCtx, wake_after_ns: int) -> None:
+        """HLT traps through the full nested path in both directions."""
+        self.l2_exit_to_l1(ctx, "hlt")
+        ctx.clock.advance(wake_after_ns)
+        ctx.clock.advance(self.costs.halt_wake_hw)
+        self.l1_resume_l2(ctx)
+        self.events.emulate("hlt")

@@ -16,12 +16,12 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from repro.guest.process import Process
-from repro.hw.events import FaultPhase, SwitchKind
+from repro.hw.events import FaultPhase
 from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import EptViolationException
 from repro.hw.pagetable import PageTable, Pte
 from repro.hw.types import AccessType, EptViolation, PageFault
-from repro.hypervisors.base import CpuCtx, Machine
+from repro.hypervisors.base import PRIVILEGED_HANDLERS, CpuCtx, Machine
 from repro.hypervisors.nested import NestedVmxMixin
 from repro.sim.locks import SimLock
 
@@ -283,52 +283,5 @@ class SptOnEptMachine(NestedVmxMixin, Machine):
             self.guest_internal_transition(ctx)
 
     def _privileged(self, ctx: CpuCtx, kind: str) -> None:
-        handler = {
-            "hypercall": self.costs.hypercall_handler,
-            "exception": self.costs.exception_handler,
-            "msr": self.costs.msr_handler,
-            "cpuid": self.costs.cpuid_handler,
-            "pio": self.costs.pio_handler,
-        }[kind]
+        handler = getattr(self.costs, PRIVILEGED_HANDLERS[kind][0])
         self.nested_privileged_roundtrip(ctx, handler, kind)
-
-    def virtio_doorbell(self, ctx: CpuCtx) -> None:
-        """Same forwarding story as EPT-on-EPT: nested round trip to
-        L1's vhost plus one L1<->L0 leg for the backend."""
-        self.nested_privileged_roundtrip(
-            ctx, self.costs.virtio_doorbell_handler, "virtio-doorbell"
-        )
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
-        self.events.l0_trap("virtio-backend")
-        self.l0_lock.run_locked(ctx.clock, self.costs.virtio_doorbell_handler)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
-
-    # -- interrupts / halt -------------------------------------------------------------------------
-
-    def deliver_timer(self, ctx: CpuCtx) -> None:
-        """External timer interrupt while the guest runs."""
-        san = self.vmx_sanitizer
-        if san is not None:
-            san.vm_exit("interrupt")
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L2_L0, ctx.clock.now, ctx.cpu_id)
-        self.events.l0_trap("interrupt")
-        self.l0_lock.run_locked(ctx.clock, self.costs.irq_inject)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
-        ctx.clock.advance(self.costs.irq_handler)
-        self.l1_resume_l2(ctx)
-        self.events.interrupt("timer")
-
-    def halt(self, ctx: CpuCtx, wake_after_ns: int) -> None:
-        """HLT + wakeup (blocking synchronization pattern)."""
-        self.l2_exit_to_l1(ctx, "hlt")
-        ctx.clock.advance(wake_after_ns)
-        ctx.clock.advance(self.costs.halt_wake_hw)
-        self.l1_resume_l2(ctx)
-        self.events.emulate("hlt")
-
-    # -- helpers ---------------------------------------------------------------------------------------
-

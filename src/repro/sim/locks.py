@@ -59,6 +59,28 @@ class SimLock:
         """
         if hold_ns < 0 or overhead_ns < 0:
             raise ValueError("durations must be non-negative")
+        if self.lockdep is not None or self.stall_hook is not None:
+            hold_ns = self._run_hooks(clock, hold_ns)
+        # One grant computation: max(request, free_at), advance_to(end).
+        request = clock.now
+        grant = self.free_at
+        if grant <= request:
+            grant = request
+        wait = grant - request
+        end = grant + overhead_ns + hold_ns
+        self.free_at = end
+        if end > request:
+            clock.now = end
+        self.acquisitions += 1
+        self.total_wait_ns += wait
+        self.total_hold_ns += hold_ns
+        if wait > 0 and self.events is not None:
+            self.events.lock_wait(self.name, wait)
+        return wait
+
+    def _run_hooks(self, clock: Clock, hold_ns: int) -> int:
+        """Report the acquisition to lockdep and apply any injected
+        holder stall; returns the (possibly extended) hold."""
         if self.lockdep is not None:
             self.lockdep.note_acquire(self)
         if self.stall_hook is not None:
@@ -66,18 +88,7 @@ class SimLock:
             if extra:
                 hold_ns += extra
                 self.stalls_injected_ns += extra
-        request = clock.now
-        grant = max(request, self.free_at)
-        wait = grant - request
-        end = grant + overhead_ns + hold_ns
-        self.free_at = end
-        clock.advance_to(end)
-        self.acquisitions += 1
-        self.total_wait_ns += wait
-        self.total_hold_ns += hold_ns
-        if self.events is not None:
-            self.events.lock_wait(self.name, wait)
-        return wait
+        return hold_ns
 
     @property
     def mean_wait_ns(self) -> float:

@@ -44,6 +44,18 @@ class TestCostModel:
         with pytest.raises(TypeError):
             DEFAULT_COSTS.with_overrides(not_a_cost=1)
 
+    @pytest.mark.parametrize("bad", [-5, -1, 1.5, 179.0, "179", None, True, False])
+    def test_bad_cost_rejected_at_construction(self, bad):
+        """A cost that is not a non-negative int fails when the model is
+        built, naming the field -- not later inside Clock.advance."""
+        with pytest.raises(ValueError, match="pvm_world_switch"):
+            DEFAULT_COSTS.with_overrides(pvm_world_switch=bad)
+        with pytest.raises(ValueError, match="hw_world_switch"):
+            CostModel(hw_world_switch=bad)
+
+    def test_zero_cost_allowed(self):
+        assert DEFAULT_COSTS.with_overrides(tlb_hit=0).tlb_hit == 0
+
 
 class TestCounter:
     def test_add_and_keys(self):

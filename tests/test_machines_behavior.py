@@ -1,5 +1,8 @@
 """Behavioural tests for the machine implementations beyond counts."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import make_machine, SCENARIOS
@@ -153,3 +156,44 @@ class TestScenarioRegistry:
         for name in SCENARIOS:
             m = make_machine(name)
             assert m.nested == ("NST" in name)
+
+
+class TestMachineConfigValidation:
+    @pytest.mark.parametrize("mode", ["bogus", "", None, "FULL"])
+    def test_bad_sanitize_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="sanitize_mode"):
+            MachineConfig(sanitize_mode=mode)
+
+    @pytest.mark.parametrize("retries", [0, -3, 1.5, "16", True])
+    def test_bad_max_fault_retries_rejected(self, retries):
+        with pytest.raises(ValueError, match="max_fault_retries"):
+            MachineConfig(max_fault_retries=retries)
+
+    def test_valid_values_accepted(self):
+        assert MachineConfig(sanitize_mode="full").sanitize_mode == "full"
+        assert MachineConfig(max_fault_retries=1).max_fault_retries == 1
+
+
+class TestMachineLifetime:
+    @pytest.mark.parametrize("pcid_mapping", [True, False])
+    @pytest.mark.parametrize("scenario", ALL)
+    def test_dropped_machine_freed_by_refcount(self, scenario, pcid_mapping):
+        """No reference cycle runs through a machine: dropping the last
+        reference frees it (and every table and lock it owns) at once,
+        without waiting for the cyclic garbage collector."""
+        m = make_machine(scenario,
+                         config=MachineConfig(pcid_mapping=pcid_mapping))
+        ctx = m.new_context()
+        proc = m.spawn_process()
+        vma = m.mmap(ctx, proc, 64 * KIB)
+        m.touch(ctx, proc, vma.start_vpn, write=True)
+        m.exit(ctx, m.fork(ctx, proc))
+        m.hypercall(ctx)
+        m.syscall(ctx, proc, "get_pid")
+        ref = weakref.ref(m)
+        gc.disable()
+        try:
+            del m, ctx, proc, vma
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -43,6 +43,27 @@ class TestProtocolLegs:
         machine.l2_exit_to_l1(ctx, "#PF")
         assert len(machine.vmcs01.pending) == pending_before + 1
 
+    def test_resume_drains_forwarded_events(self, machine):
+        """L1 consumes each forwarded event before it VMRESUMEs, so the
+        VMCS01 queue stays empty over any number of round trips, and the
+        drain charges nothing and is no VMWRITE."""
+        n = 10_000
+        one = make_machine("kvm-ept (NST)")
+        one_ctx = one.new_context()
+        one.nested_privileged_roundtrip(one_ctx, 250, "hypercall")
+        one_snap = one.events.snapshot()
+        ctx = machine.new_context()
+        gen = machine.vmcs01.generation
+        for _ in range(n):
+            machine.nested_privileged_roundtrip(ctx, 250, "hypercall")
+        assert machine.vmcs01.pending == []
+        assert machine.vmcs01.generation == gen + n
+        assert ctx.clock.now == n * one_ctx.clock.now
+        assert machine.events.snapshot() == {
+            name: {key: n * v for key, v in counts.items()}
+            for name, counts in one_snap.items()
+        }
+
     def test_resume_merges_vmcs(self, machine):
         ctx = machine.new_context()
         machine.vmcs12.guest_cr3_frame = 0x77

@@ -115,6 +115,30 @@ class TestBaselineContract:
         assert not seen[0][1].psc
         assert "nested_faults_per_sec" in wallclock.GATED_METRICS
 
+    def test_exit_roundtrip_phase_is_gated(self):
+        """The exit-path gate drives Table 1's five round trips on both
+        nested exit paths and is gated like the other absolute rates."""
+        assert wallclock.EXIT_BENCH_MACHINES == ("pvm (NST)", "kvm-ept (NST)")
+        assert len(wallclock.EXIT_BENCH_OPS) == 5
+        results = wallclock.bench_exit_roundtrips(iters=2)
+        assert results["exit_roundtrips_per_sec"] > 0
+        assert "exit_roundtrips_per_sec" in wallclock.GATED_METRICS
+        baseline = {"results": {"exit_roundtrips_per_sec": 1000.0}}
+        assert wallclock.check_regressions(
+            {"exit_roundtrips_per_sec": 600.0}, baseline) == []  # -40%
+        failures = wallclock.check_regressions(
+            {"exit_roundtrips_per_sec": 400.0}, baseline)  # -60%
+        assert len(failures) == 1 and "exit_roundtrips_per_sec" in failures[0]
+        line = wallclock.summary_line({
+            "warm_translations_per_sec": 5e6,
+            "speedup_vs_legacy": 1.7,
+            "miss_walks_per_sec": 2e5,
+            "miss_psc_hit_rate": 0.99,
+            "faults_per_sec": 1.2e4,
+            "exit_roundtrips_per_sec": 2.5e5,
+        })
+        assert "250k nested exit round trips/s" in line
+
 
     def test_parallel_speedup_is_median_of_repeats(self, monkeypatch):
         """Each repeat times one serial and one fan-out pass; the
