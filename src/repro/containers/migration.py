@@ -145,7 +145,7 @@ class MigrationManager:
     def _l1_footprint_pages(machine: Machine) -> int:
         """Pages the L1 VM actually uses for this guest (RAM + tables)."""
         used = machine.guest_phys.allocator.used_frames
-        l1_phys = getattr(machine, "l1_phys", None)
-        if l1_phys is not None and l1_phys is not machine.guest_phys:
-            used += l1_phys.allocator.used_frames
+        chain = getattr(machine, "chain", None)
+        if chain is not None and chain.phys is not machine.guest_phys:
+            used += chain.phys.allocator.used_frames
         return used

@@ -23,7 +23,6 @@ from repro.core.switcher import GuestWorld
 from repro.guest.kernel import GuestKernel
 from repro.guest.process import Process
 from repro.hw.events import FaultPhase
-from repro.hw.mmu import EptViolationException
 from repro.hw.types import AccessType, PageFault
 
 
@@ -42,7 +41,7 @@ class DirectPagingMachine(PvmMachine):
         # Direct paging: guest page tables reference machine (L1) frames
         # directly; rebuild the kernel over the L1 physical space.
         if self.nested:
-            self.guest_phys = self.l1_phys
+            self.guest_phys = self.chain.phys
         self.kernel = GuestKernel(
             self.guest_phys, self.costs, kpti=self.config.kpti, name=self.name,
             thp=self.config.thp and self.supports_thp,
@@ -58,14 +57,7 @@ class DirectPagingMachine(PvmMachine):
             # Bare-metal direct paging degenerates to native paging.
             return ctx.mmu.access_1d(ctx.clock, asid, proc.gpt, vpn, access,
                                      user=True)
-        while True:
-            try:
-                return ctx.mmu.access_2d(
-                    ctx.clock, asid, proc.gpt, self.ept01, vpn, access,
-                    user=True,
-                )
-            except EptViolationException as exc:
-                self._warm_fill(exc.violation)
+        return self.chain.access(ctx, asid, proc.gpt, vpn, access)
 
     # -- fault dance: constant-cost, shadow-free --------------------------------
 
@@ -132,24 +124,7 @@ class DirectPagingMachine(PvmMachine):
             return False
         if not self.nested:
             return super().discard_gfn_backing(gfn)
-        ent = self.ept01.lookup(gfn)
-        if ent is not None:
-            if ent.huge:
-                return False
-            self.ept01.unmap(gfn)
-        hfn = self._backing.pop(gfn, None)
-        if hfn is not None:
-            self.host_phys.free_frame(hfn)
-        return hfn is not None
-
-    def backing_frame(self, guest_frame: int) -> int:
-        # Direct paging keys _backing by the guest's own frame numbers,
-        # so the refault chokepoint is right here (the base hook skips
-        # nested machines to avoid gfn1/gfn2 namespace collisions).
-        frame = super().backing_frame(guest_frame)
-        if self._discarded_gfns:
-            self.note_gfn_rebacked(guest_frame)
-        return frame
+        return self.chain.release(gfn)
 
     def accessed_bit_tables(self, proc: Process):
         """The hardware walks the guest's own tables — A-bits land in
@@ -168,11 +143,3 @@ class DirectPagingMachine(PvmMachine):
     def on_process_created(self, ctx, child: Process) -> None:
         """No shadow entries to downgrade; COW protection lives in the
         guest's own (validated) tables."""
-
-    def on_process_reset(self, ctx, proc: Process) -> None:
-        """Shadow-side teardown on exec."""
-        pass
-
-    def on_process_destroyed(self, ctx, proc: Process) -> None:
-        """Shadow-side teardown on exit."""
-        pass

@@ -15,40 +15,24 @@ when the prefault optimization is disabled.
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, List
-
 from repro.core.hypervisor import PvmHypervisor
 from repro.core.pcid import PcidMapper
 from repro.core.prefault import Prefaulter
-from repro.core.shadow import ShadowManager
+from repro.core.shadow import ShadowManager, ShadowTables
 from repro.core.sptlocks import SptLockManager
 from repro.core.switcher import GuestWorld
 from repro.guest.interrupts import Vector
 from repro.guest.process import Process
 from repro.hw.events import FaultPhase, SwitchKind
-from repro.hw.memory import PhysicalMemory
-from repro.hw.mmu import EptViolationException
-from repro.hw.pagetable import PageTable, Pte
-from repro.hw.types import AccessType, Asid, EptViolation, PageFault
-from repro.hypervisors.base import PRIVILEGED_HANDLERS, CpuCtx, Machine
+from repro.hw.pagetable import Pte
+from repro.hw.types import AccessType, Asid, PageFault
+from repro.hypervisors.base import (
+    PRIVILEGED_HANDLERS, CpuCtx, Machine, weak_method,
+)
+from repro.hypervisors.l1chain import L1Chain
 
 
-def _weak_method(obj, name: str):
-    """``getattr(obj, name)`` that does not keep ``obj`` alive.
-
-    The shadow manager and the switcher call back into the machine that
-    owns them.  Bound methods would close a reference cycle, so a
-    retired machine, with its page tables, shadow state and per-page
-    locks, would wait for the cyclic garbage collector instead of being
-    freed when its last reference goes.
-    """
-    ref = weakref.ref(obj)
-    func = getattr(type(obj), name)
-    return lambda *args: func(ref(), *args)
-
-
-class PvmMachine(Machine):
+class PvmMachine(ShadowTables, Machine):
     """Secure container under the PVM guest hypervisor."""
 
     def __init__(self, *args, nested: bool = False, **kwargs) -> None:
@@ -63,27 +47,25 @@ class PvmMachine(Machine):
         self.pcids = PcidMapper(self.vpid, enabled=self.config.pcid_mapping)
         self.prefaulter = Prefaulter(enabled=self.config.prefault)
         if nested:
-            #: The L1 VM's guest-physical space: shadow targets live here.
-            self.l1_phys = PhysicalMemory("l1-vm", self.config.host_mem_bytes)
-            #: EPT01 below us, maintained by the unmodified L0; warm.
-            self.ept01 = PageTable(self.host_phys, name="EPT01")
-            self._l1_backing: Dict[int, int] = {}
-            #: gfn1 bases of 2 MiB L1 blocks (for huge EPT01 warm fills).
-            self._l1_huge_bases: set = set()
-            table_phys, translate, block = (
-                self.l1_phys, "_gfn1_for", "_gfn1_block_for")
+            #: The L1 VM's memory: shadow targets are gfn1s over EPT01.
+            self.chain = L1Chain(self)
+            self.ept01 = self.chain.ept01
+            table_phys = self.chain.phys
+            translate = self.chain.gfn1_for
+            block = self.chain.gfn1_block_for
         else:
-            table_phys, translate, block = (
-                self.host_phys, "backing_frame", "backing_block")
+            table_phys = self.host_phys
+            translate = weak_method(self, "backing_frame")
+            block = weak_method(self, "backing_block")
         self.shadow = ShadowManager(
-            table_phys, self.costs, _weak_method(self, translate),
-            kpti=self.config.kpti, translate_block=_weak_method(self, block),
+            table_phys, self.costs, translate,
+            kpti=self.config.kpti, translate_block=block,
         )
         if not self.config.pcid_mapping:
             # Without per-process PCIDs every guest CR3 load flushes the
             # guest's TLB tag (no NOFLUSH bit usable) — the cold-start
             # penalty the PCID-mapping optimization removes.
-            self.hv.switcher.on_guest_cr3_load = _weak_method(
+            self.hv.switcher.on_guest_cr3_load = weak_method(
                 self, "_flush_on_cr3_load")
 
     def _flush_on_cr3_load(self, clock, cpu_id: int) -> None:
@@ -91,71 +73,6 @@ class PvmMachine(Machine):
             self.contexts[cpu_id].mmu.drop_vpid(self.vpid)
         clock.advance(self.costs.tlb_flush_op + self.costs.tlb_vpid_flush_extra)
         self.events.tlb_flush("cr3-load")
-
-    # -- memory chain ---------------------------------------------------------
-
-    def _gfn1_for(self, gfn2: int) -> int:
-        gfn1 = self._l1_backing.get(gfn2)
-        if gfn1 is None:
-            gfn1 = self.l1_phys.alloc_frame(tag="l2-ram")
-            self._l1_backing[gfn2] = gfn1
-            if self._discarded_gfns:
-                self.note_gfn_rebacked(gfn2)
-        return gfn1
-
-    def _gfn1_block_for(self, base2: int) -> int:
-        """Aligned 512-frame gfn1 block backing a guest 2 MiB run."""
-        gfn1 = self._l1_backing.get(base2)
-        if gfn1 is None:
-            block = self.l1_phys.alloc_aligned(512, tag="l2-ram-huge")
-            for i in range(512):
-                self._l1_backing[base2 + i] = block.start + i
-            gfn1 = block.start
-            self._l1_huge_bases.add(gfn1)
-        return gfn1
-
-    def discard_gfn_backing(self, gfn2: int) -> bool:
-        """Balloon release: drop shadow entries (via the rmap) and the
-        L1/host backing of the frame."""
-        if self.huge_block_base(gfn2) is not None:
-            return False
-        for pid, half, vpn in sorted(self.shadow.entries_for_gfn(gfn2)):
-            proc = self.kernel.processes.get(pid)
-            if proc is not None:
-                self.shadow.unmap(proc, vpn)
-                # Scrub cached translations of the zapped entry: a TLB
-                # hit after the host frame is reused would read someone
-                # else's memory.  Raw flush (no clock charge) — reclaim
-                # work is priced by the balloon device, not here.
-                asid = self.asid_for(proc, kernel_half=(half == "kernel"))
-                for cpu in self.contexts:
-                    cpu.tlb.flush_page(asid, vpn)
-        if not self.nested:
-            return super().discard_gfn_backing(gfn2)
-        gfn1 = self._l1_backing.pop(gfn2, None)
-        if gfn1 is None:
-            return False
-        self.l1_phys.free_frame(gfn1)
-        if self.ept01.lookup(gfn1) is not None and not self.ept01.lookup(gfn1).huge:
-            self.ept01.unmap(gfn1)
-        hfn = self._backing.pop(gfn1, None)
-        if hfn is not None:
-            self.host_phys.free_frame(hfn)
-        return hfn is not None
-
-    def accessed_bit_tables(self, proc: Process) -> List[PageTable]:
-        """The walker sets A-bits in SPT12, not the guest's GPT2."""
-        return self.shadow.tables_for(proc)
-
-    def teardown_guest_memory(self) -> None:
-        """Eviction: drop all shadow tables, then (nested) the L1 chain."""
-        self.shadow.drop_all()
-        if self.nested:
-            self.ept01.destroy()
-            self.l1_phys.free_many(self._l1_backing.values())
-            self._l1_backing.clear()
-            self._l1_huge_bases.clear()
-        super().teardown_guest_memory()
 
     def asid_for(self, proc: Process, kernel_half: bool = False) -> Asid:
         """TLB tag for a process under this stack's PCID policy."""
@@ -177,31 +94,7 @@ class PvmMachine(Machine):
         asid = self.asid_for(proc)
         if not self.nested:
             return ctx.mmu.access_1d(ctx.clock, asid, spt, vpn, access, user=True)
-        while True:
-            try:
-                return ctx.mmu.access_2d(
-                    ctx.clock, asid, spt, self.ept01, vpn, access, user=True
-                )
-            except EptViolationException as exc:
-                # Warm-EPT01 assumption (§4.1): the L1 VM has been up for
-                # hours; violations are filled by L0 below our notice.
-                self._warm_fill(exc.violation)
-
-    def _warm_fill(self, violation: EptViolation) -> None:
-        gfn1 = violation.gpa >> 12
-        if self.ept01.lookup(gfn1) is not None:
-            self.ept01.protect(gfn1, writable=True)
-            return
-        base = gfn1 - (gfn1 % 512)
-        if base in self._l1_huge_bases:
-            # L0's EPT backs 2 MiB L1 runs with huge entries, preserving
-            # the guest-huge translation's TLB reach.
-            hfn = self.backing_block(base)
-            self.ept01.map_huge(base, Pte(frame=hfn, writable=True,
-                                          user=False, huge=True))
-            return
-        hfn = self.backing_frame(gfn1)
-        self.ept01.map(gfn1, Pte(frame=hfn, writable=True, user=False))
+        return self.chain.access(ctx, asid, spt, vpn, access)
 
     # -- the Figure 9 fault dance -----------------------------------------------------
 
@@ -264,10 +157,6 @@ class PvmMachine(Machine):
         # (9)-(10): return to the L2 user (one switch).
         self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.USER)
         self.events.fault(FaultPhase.GUEST_PT, ctx.clock.now, ctx.cpu_id)
-
-    def on_ept_violation(self, ctx: CpuCtx, proc: Process, violation) -> None:
-        """Extended-dimension fault dance (or assertion if N/A)."""
-        raise AssertionError("EPT01 is warmed inside translate()")
 
     def on_segfault(self, ctx: CpuCtx, proc: Process) -> None:
         """SIGSEGV delivery: get back to v_ring3 from wherever the fault
@@ -410,14 +299,6 @@ class PvmMachine(Machine):
                     gfn=(parent.pid, vpn), work_ns=30,
                 )
         self.shadow.write_protect_gpt(child)
-
-    def on_process_reset(self, ctx: CpuCtx, proc: Process) -> None:
-        """Shadow-side teardown on exec."""
-        self.shadow.drop(proc)
-
-    def on_process_destroyed(self, ctx: CpuCtx, proc: Process) -> None:
-        """Shadow-side teardown on exit."""
-        self.shadow.drop(proc)
 
     # -- transitions ------------------------------------------------------------------------------
 

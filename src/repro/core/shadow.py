@@ -9,13 +9,17 @@ the hypervisor applies it to the shadow side.
 
 A reverse map (gfn -> shadow entries) makes invalidation by guest frame
 O(entries-for-frame) instead of O(table) — one of the three data groups
-the fine-grained locks protect.
+the fine-grained locks protect.  It is exact: every shadow entry is
+listed under the guest frame it currently translates, and nothing else.
+
+With ``kpti=False`` the manager keeps a single table per process; that
+is also how classic (KVM) shadow paging keeps its tables
+(:mod:`repro.hypervisors.shadow_paging`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.guest.process import Process
 from repro.hw.costs import CostModel
@@ -23,8 +27,7 @@ from repro.hw.memory import PhysicalMemory
 from repro.hw.pagetable import PageTable, Pte
 
 
-@dataclass(frozen=True)
-class SyncResult:
+class SyncResult(NamedTuple):
     """Outcome of synchronizing one guest PTE into the shadow side."""
 
     vpn: int
@@ -77,11 +80,11 @@ class ShadowManager:
 
     def spt(self, proc: Process, half: str = "user") -> PageTable:
         """The process's shadow table for one half (created on demand)."""
-        if half not in ("user", "kernel"):
-            raise ValueError(f"half must be user|kernel, got {half!r}")
         key = (proc.pid, half)
         table = self._spts.get(key)
         if table is None:
+            if half not in ("user", "kernel"):
+                raise ValueError(f"half must be user|kernel, got {half!r}")
             table = PageTable(self.table_phys, name=f"SPT12:{proc.pid}:{half}")
             self._spts[key] = table
         return table
@@ -139,20 +142,23 @@ class ShadowManager:
         through :class:`~repro.core.sptlocks.SptLockManager` — this
         method is pure mechanism.
         """
+        gfn = gpt_pte.frame
         if gpt_pte.huge:
             if self.translate_block is None:
                 raise ValueError(
                     "huge guest mapping but no block translator configured"
                 )
-            target = self.translate_block(gpt_pte.frame)
+            target = self.translate_block(gfn)
         else:
-            target = self.translate_gfn(gpt_pte.frame)
-        self._inverse[target] = gpt_pte.frame
+            target = self.translate_gfn(gfn)
+        self._inverse[target] = gfn
         writes = 0
         structural = False
-        for half in self.halves(proc):
-            table = self.spt(proc, half)
+        pid = proc.pid
+        for half in ("user", "kernel") if self.kpti else ("user",):
+            table = self._spts.get((pid, half)) or self.spt(proc, half)
             existing = table.lookup(vpn)
+            key = (pid, half, vpn)
             if existing is None:
                 shadow_pte = Pte(
                     frame=target,
@@ -169,10 +175,14 @@ class ShadowManager:
                 if result.allocated_levels:
                     structural = True
             else:
-                existing.frame = target
+                if existing.frame != target:
+                    # Retarget (e.g. a CoW break): the entry moves to
+                    # the new guest frame's rmap set.
+                    self._forget(key, existing.frame)
+                    existing.frame = target
                 table.protect(vpn, writable=gpt_pte.writable)
                 writes += 1
-            self._rmap.setdefault(gpt_pte.frame, set()).add((proc.pid, half, vpn))
+            self._rmap.setdefault(gfn, set()).add(key)
         self.syncs += 1
         return SyncResult(
             vpn=vpn, entry_writes=writes, structural=structural,
@@ -200,9 +210,7 @@ class ShadowManager:
                     continue
             else:
                 table.unmap(vpn)
-            entries = self._rmap.get(self._rmap_gfn_of(pte))
-            if entries is not None:
-                entries.discard((proc.pid, half, vpn))
+            self._forget((proc.pid, half, vpn), pte.frame)
             removed += 1
         return removed
 
@@ -259,18 +267,15 @@ class ShadowManager:
 
     # -- lifecycle --------------------------------------------------------------------------
 
-    def drop_all(self) -> int:
+    def drop_all(self) -> None:
         """Release every shadow table at once (guest eviction)."""
-        dropped = 0
         for table in self._spts.values():
-            dropped += sum(1 for _ in table.iter_mappings())
             table.release()
         self._spts.clear()
         self._rmap.clear()
         self._inverse.clear()
         self.write_protected_frames.clear()
         self._gpt_stamps.clear()
-        return dropped
 
     def drop(self, proc: Process) -> int:
         """Release all shadow state of a process (exec/exit)."""
@@ -279,18 +284,78 @@ class ShadowManager:
             table = self._spts.pop((proc.pid, half), None)
             if table is None:
                 continue
-            for vpn, pte in list(table.iter_mappings()):
-                entries = self._rmap.get(self._rmap_gfn_of(pte))
-                if entries is not None:
-                    entries.discard((proc.pid, half, vpn))
+            for vpn, pte in table.iter_mappings():
+                self._forget((proc.pid, half, vpn), pte.frame)
                 dropped += 1
             table.release()
         return dropped
 
     # -- internals -----------------------------------------------------------------------------
 
-    def _rmap_gfn_of(self, shadow_pte: Pte) -> int:
+    def _forget(self, key: Tuple[int, str, int], target: int) -> None:
+        """Remove one shadow entry, which maps to ``target``, from the
+        rmap; an emptied set goes together with its inverse entry."""
         # The rmap is keyed by *guest* frame; shadow PTEs store the
         # translated target.  The inverse map is filled on every sync,
         # so this is a plain lookup (identity as a safe fallback).
-        return self._inverse.get(shadow_pte.frame, shadow_pte.frame)
+        gfn = self._inverse.get(target, target)
+        entries = self._rmap.get(gfn)
+        if entries is not None:
+            entries.discard(key)
+            if not entries:
+                del self._rmap[gfn]
+                self._inverse.pop(target, None)
+
+
+class ShadowTables:
+    """Mixin for machines whose hardware walks the shadow tables of a
+    :class:`ShadowManager` in ``self.shadow``.
+
+    PVM (dual tables) and classic shadow paging (single table) keep
+    them the same way: a balloon discard zaps the frame's shadow entries
+    through the reverse map, the walker sets A-bits in the shadow
+    tables, and eviction drops them all.
+    """
+
+    shadow: ShadowManager
+
+    def on_ept_violation(self, ctx, proc: Process, violation) -> None:
+        """Never reached: the walks are one-dimensional, or run over an
+        EPT01 the L1 chain warms inside ``translate``."""
+        raise AssertionError(f"{self.name}: no EPT violation leaves translate()")
+
+    def on_process_reset(self, ctx, proc: Process) -> None:
+        """Shadow-side teardown on exec."""
+        self.shadow.drop(proc)
+
+    def on_process_destroyed(self, ctx, proc: Process) -> None:
+        """Shadow-side teardown on exit."""
+        self.shadow.drop(proc)
+
+    def discard_gfn_backing(self, gfn: int) -> bool:
+        """Balloon release: zap every shadow entry of the frame (via the
+        reverse map), then release its backing."""
+        if self.huge_block_base(gfn) is not None:
+            return False
+        shadow = self.shadow
+        for pid, half, vpn in sorted(shadow.entries_for_gfn(gfn)):
+            proc = self.kernel.processes.get(pid)
+            if proc is not None:
+                shadow.unmap(proc, vpn)
+                # Scrub cached translations of the zapped entry: a TLB
+                # hit after the host frame is reused would read someone
+                # else's memory.  Raw flush (no clock charge) — reclaim
+                # work is priced by the balloon device, not here.
+                asid = self.asid_for(proc, kernel_half=(half == "kernel"))
+                for cpu in self.contexts:
+                    cpu.tlb.flush_page(asid, vpn)
+        return super().discard_gfn_backing(gfn)
+
+    def accessed_bit_tables(self, proc: Process) -> List[PageTable]:
+        """The walker sets A-bits in the shadow tables, not the GPT."""
+        return self.shadow.tables_for(proc)
+
+    def teardown_guest_memory(self) -> None:
+        """Eviction: drop every shadow table before freeing backing."""
+        self.shadow.drop_all()
+        super().teardown_guest_memory()

@@ -12,7 +12,10 @@ API:
 
 plus the SPT-on-EPT nested baseline of §2.2
 (:class:`repro.hypervisors.spt_on_ept.SptOnEptMachine`), which the paper
-analyzes but excludes from §4 for its impractical performance.
+analyzes but excludes from §4 for its impractical performance.  The
+machines share their parts: :mod:`~repro.hypervisors.shadow_paging`
+(classic shadow paging), :mod:`~repro.hypervisors.l1chain` (the nested
+gfn2 -> gfn1 -> hfn chain) and :mod:`~repro.hypervisors.nested`.
 """
 
 from repro.hypervisors.base import Machine, CpuCtx, MachineConfig

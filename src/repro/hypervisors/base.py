@@ -17,6 +17,7 @@ contention emerges from the engine's earliest-clock interleaving.
 from __future__ import annotations
 
 import abc
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -45,6 +46,20 @@ PRIVILEGED_HANDLERS: Dict[str, Tuple[str, str]] = {
     "cpuid": ("cpuid_handler", "pvm_cpuid_handler"),
     "pio": ("pio_handler", "pvm_pio_handler"),
 }
+
+
+def weak_method(obj, name: str):
+    """``getattr(obj, name)`` that does not keep ``obj`` alive.
+
+    Components a machine owns (its shadow manager, switcher, L1 memory
+    chain) call back into it.  Bound methods would close a reference
+    cycle, so a retired machine, with its page tables, shadow state and
+    per-page locks, would wait for the cyclic garbage collector instead
+    of being freed when its last reference goes.
+    """
+    ref = weakref.ref(obj)
+    func = getattr(type(obj), name)
+    return lambda *args: func(ref(), *args)
 
 
 #: Valid :attr:`MachineConfig.sanitize_mode` values.
@@ -134,6 +149,9 @@ class Machine(abc.ABC):
     nested: bool = False
     #: Whether this paging design can back 2 MiB guest mappings.
     supports_thp: bool = True
+    #: The L1 VM's memory under the guest
+    #: (:class:`~repro.hypervisors.l1chain.L1Chain`); None on bare metal.
+    chain = None
 
     def __init__(
         self,
@@ -232,10 +250,13 @@ class Machine(abc.ABC):
         if frame is None:
             frame = self.host_phys.alloc_frame(tag="guest-ram")
             self._backing[guest_frame] = frame
-            # Nested machines key _backing by L1 frames; their gfn2
-            # chokepoints report refaults instead (gfn1/gfn2 numbers
-            # would collide here).
-            if self._discarded_gfns and not self.nested:
+            # Only where _backing is keyed by the guest's own frames
+            # (bare metal, or direct paging's guest in L1 memory); other
+            # nested machines key it by gfn1 and their L1 chain reports
+            # refaults instead (gfn1/gfn2 numbers would collide here).
+            chain = self.chain
+            if self._discarded_gfns and (
+                    chain is None or chain.phys is self.guest_phys):
                 self.note_gfn_rebacked(guest_frame)
         return frame
 
@@ -451,11 +472,14 @@ class Machine(abc.ABC):
 
         Returns True when a host frame was actually released.  Frames
         inside 2 MiB-backed runs are skipped (splitting huge backing is
-        not worth one page).  Subclasses extend this to invalidate
-        their extended/shadow state for the frame.
+        not worth one page).  Nested machines unwind the whole L1 chain.
+        Subclasses extend this to invalidate their extended/shadow state
+        for the frame.
         """
         if self.huge_block_base(gfn) is not None:
             return False
+        if self.chain is not None:
+            return self.chain.discard(gfn)
         hfn = self._backing.pop(gfn, None)
         if hfn is None:
             return False
@@ -508,10 +532,13 @@ class Machine(abc.ABC):
     def teardown_guest_memory(self) -> None:
         """Release every host frame backing this guest (eviction path).
 
-        Subclasses extend this to drop extended/shadow state that
-        references the freed frames; the base leaves translation caches
-        to the supervisor's regular crash teardown.
+        Nested machines release their L1 chain first.  Subclasses extend
+        this to drop extended/shadow state that references the freed
+        frames; the base leaves translation caches to the supervisor's
+        regular crash teardown.
         """
+        if self.chain is not None:
+            self.chain.teardown()
         self.host_phys.free_many(self._backing.values())
         self._backing.clear()
         self._huge_gfn_bases.clear()
@@ -630,7 +657,8 @@ class Machine(abc.ABC):
 
     # -- shared plumbing -----------------------------------------------------
 
-    def hw_exit_entry(self, ctx: CpuCtx, kind: SwitchKind) -> None:
+    def hw_exit_entry(self, ctx: CpuCtx,
+                      kind: SwitchKind = SwitchKind.HW_L1_L0) -> None:
         """One hardware world switch (one direction) of a ``HW_*`` kind.
 
         The one hardware leg, updated in place: the arithmetic of

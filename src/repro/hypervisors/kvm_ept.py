@@ -16,7 +16,42 @@ from repro.hw.vmx import VmxCapabilities
 from repro.hypervisors.base import PRIVILEGED_HANDLERS, CpuCtx, Machine
 
 
-class KvmEptMachine(Machine):
+def install_ept_entry(ept: PageTable, gfn: int, target: int) -> int:
+    """Map ``gfn -> target``; returns table levels written (>= 1)."""
+    if ept.lookup(gfn) is not None:
+        # Permission upgrade or spurious: rewrite leaf in place.
+        ept.protect(gfn, writable=True)
+        return 1
+    result = ept.map(gfn, Pte(frame=target, writable=True, user=False))
+    return len(result.written_frames)
+
+
+class EptGuestPaging:
+    """Mixin: the guest owns the page table the hardware walks.
+
+    Under EPT (single-level or nested) guest page faults and syscalls
+    stay inside the guest: no exit, ordinary PTE stores.
+    """
+
+    def on_guest_fault(self, ctx: CpuCtx, proc: Process, fault: PageFault) -> None:
+        """Guest #PF: handled entirely inside the guest, no VM exit."""
+        self.guest_internal_transition(ctx)
+        ctx.clock.advance(self.costs.pf_delivery)
+        fix = self.kernel.fix_fault(proc, fault.vaddr >> 12, fault.access)
+        body = self.fault_body_ns(proc, fix)
+        ctx.clock.advance(body + fix.entry_writes * self.costs.pte_write)
+        self.guest_internal_transition(ctx)  # iret back to user
+        self.events.fault(FaultPhase.GUEST_PT, ctx.clock.now, ctx.cpu_id)
+
+    def _syscall_round_trip(self, ctx: CpuCtx, proc: Process) -> None:
+        """Syscalls stay inside the guest (Table 2's kvm-ept rows)."""
+        self.guest_internal_transition(ctx)
+        if self.config.kpti:
+            ctx.clock.advance(self.costs.kpti_syscall_overhead)
+        self.guest_internal_transition(ctx)
+
+
+class KvmEptMachine(EptGuestPaging, Machine):
     """Secure container in a regular VM on bare metal (kvm-ept BM)."""
 
     name = "kvm-ept (BM)"
@@ -41,16 +76,6 @@ class KvmEptMachine(Machine):
 
     # -- fault handling -------------------------------------------------------
 
-    def on_guest_fault(self, ctx: CpuCtx, proc: Process, fault: PageFault) -> None:
-        """Guest #PF: handled entirely inside the guest, no VM exit."""
-        self.guest_internal_transition(ctx)
-        ctx.clock.advance(self.costs.pf_delivery)
-        fix = self.kernel.fix_fault(proc, fault.vaddr >> 12, fault.access)
-        body = self.fault_body_ns(proc, fix)
-        ctx.clock.advance(body + fix.entry_writes * self.costs.pte_write)
-        self.guest_internal_transition(ctx)  # iret back to user
-        self.events.fault(FaultPhase.GUEST_PT, ctx.clock.now, ctx.cpu_id)
-
     def on_ept_violation(self, ctx: CpuCtx, proc: Process,
                          violation: EptViolation) -> None:
         """EPT violation: one hardware round trip to L0's TDP MMU."""
@@ -66,7 +91,7 @@ class KvmEptMachine(Machine):
             levels = 1
         else:
             hfn = self.backing_frame(gfn)
-            levels = self._install_ept(self.ept01, gfn, hfn)
+            levels = install_ept_entry(self.ept01, gfn, hfn)
         ctx.clock.advance(levels * self.costs.ept_fix_per_level)
         self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)  # VM entry
         self.events.fault(FaultPhase.SHADOW_PT, ctx.clock.now, ctx.cpu_id)
@@ -89,12 +114,6 @@ class KvmEptMachine(Machine):
         super().teardown_guest_memory()
 
     # -- transitions -----------------------------------------------------------
-
-    def _syscall_round_trip(self, ctx: CpuCtx, proc: Process) -> None:
-        self.guest_internal_transition(ctx)
-        if self.config.kpti:
-            ctx.clock.advance(self.costs.kpti_syscall_overhead)
-        self.guest_internal_transition(ctx)
 
     def _privileged(self, ctx: CpuCtx, kind: str) -> None:
         """Hardware-assisted trap: exit to root mode, handle, re-enter."""
@@ -128,15 +147,3 @@ class KvmEptMachine(Machine):
         ctx.clock.advance(self.costs.halt_wake_hw)
         self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
         self.events.emulate("hlt")
-
-    # -- helpers -------------------------------------------------------------------
-
-    @staticmethod
-    def _install_ept(ept: PageTable, gfn: int, hfn: int) -> int:
-        """Map gfn -> hfn; returns table levels written (>= 1)."""
-        if ept.lookup(gfn) is not None:
-            # Permission upgrade or spurious: rewrite leaf in place.
-            ept.protect(gfn, writable=True)
-            return 1
-        result = ept.map(gfn, Pte(frame=hfn, writable=True, user=False))
-        return len(result.written_frames)

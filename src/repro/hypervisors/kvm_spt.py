@@ -14,61 +14,29 @@ paper measures:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
-
 from repro.guest.process import Process
-from repro.hw.events import FaultPhase, SwitchKind
-from repro.hw.pagetable import PageTable, Pte
-from repro.hw.types import AccessType, PageFault
-from repro.hypervisors.base import CpuCtx
+from repro.hw.events import SwitchKind
+from repro.hw.types import AccessType
+from repro.hypervisors.base import CpuCtx, weak_method
 from repro.hypervisors.kvm_ept import KvmEptMachine
+from repro.hypervisors.shadow_paging import ClassicShadowPaging
 from repro.sim.locks import SimLock
 
 
-class KvmSptMachine(KvmEptMachine):
+class KvmSptMachine(ClassicShadowPaging, KvmEptMachine):
     """Secure container under single-level shadow paging (kvm-spt BM)."""
 
     name = "kvm-spt (BM)"
     nested = False
-    #: Classic shadow paging shadows at 4K granularity only.
-    supports_thp = False
+    pf_exit_reason = "spt-fault"
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: Per-process shadow tables: GVA -> HPA.
-        self._spts: Dict[int, PageTable] = {}
-        #: Reverse map: host frame -> {(pid, vpn)} shadow entries naming
-        #: it, so discarding a frame's backing can zap exactly the SPTEs
-        #: that translate to it (KVM's rmap chains).
-        self._spt_rmap: Dict[int, Set[Tuple[int, int]]] = {}
         self.mmu_lock = SimLock("mmu_lock", self.events)
-
-    # -- shadow table management ------------------------------------------
-
-    def spt_for(self, proc: Process) -> PageTable:
-        """The process's shadow table (created on demand)."""
-        spt = self._spts.get(proc.pid)
-        if spt is None:
-            spt = PageTable(self.host_phys, name=f"SPT:{proc.pid}")
-            self._spts[proc.pid] = spt
-        return spt
-
-    def _zap_spt(self, ctx: CpuCtx, proc: Process) -> None:
-        """Drop every shadow entry (KVM's bulk zap on fork/exec)."""
-        spt = self._spts.pop(proc.pid, None)
-        if spt is not None:
-            self._forget_spt_rmap(spt, proc.pid)
-            spt.release()
-        self.invalidate_asid(ctx, proc)
-
-    def _forget_spt_rmap(self, spt: PageTable, pid: int) -> None:
-        """Drop a whole shadow table's reverse-map entries."""
-        for vpn, pte in spt.iter_mappings():
-            entries = self._spt_rmap.get(pte.frame)
-            if entries is not None:
-                entries.discard((pid, vpn))
-                if not entries:
-                    del self._spt_rmap[pte.frame]
+        #: Per-process shadow tables: GVA -> HPA.
+        self.init_shadow_paging(
+            self.host_phys, weak_method(self, "backing_frame"), self.mmu_lock
+        )
 
     # -- translation ----------------------------------------------------------
 
@@ -76,166 +44,19 @@ class KvmSptMachine(KvmEptMachine):
                   access: AccessType) -> int:
         """One hardware translation attempt; raises on fault."""
         return ctx.mmu.access_1d(
-            ctx.clock, self.asid_for(proc), self.spt_for(proc), vpn, access,
+            ctx.clock, self.asid_for(proc), self.shadow.spt(proc), vpn, access,
             user=True,
         )
 
-    # -- fault handling -----------------------------------------------------------
+    # -- the legs: hardware VM exits to L0 ----------------------------------------
 
-    def on_guest_fault(self, ctx: CpuCtx, proc: Process, fault: PageFault) -> None:
-        """Hardware #PF on the shadow table: always exits to the host.
+    def spt_exit(self, ctx: CpuCtx, reason: str) -> None:
+        """A guest trap exits to the host (one hardware switch)."""
+        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+        self.events.l0_trap(reason)
 
-        The host distinguishes a *shadow-stale* fault (guest table has
-        the mapping; sync one SPTE under mmu_lock) from a *true guest*
-        fault (inject #PF; the guest's fix-up writes then trap one by
-        one under write protection).
-        """
-        vpn = fault.vaddr >> 12
-        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)  # #PF VM exit
-        self.events.l0_trap("spt-fault")
-        gpt_pte = proc.gpt.lookup(vpn)
-        if gpt_pte is not None and gpt_pte.permits(fault.access, user=True):
-            self._sync_spte(ctx, proc, vpn, gpt_pte)
-            self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)  # VM entry
-            self.events.fault(FaultPhase.SHADOW_PT, ctx.clock.now, ctx.cpu_id)
-            return
-        # True guest fault: inject #PF and resume into the guest handler.
-        ctx.clock.advance(self.costs.irq_inject)
-        self.events.inject("#PF")
-        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)  # VM entry (to handler)
-        ctx.clock.advance(self.costs.pf_delivery)
-        fix = self.kernel.fix_fault(proc, vpn, fault.access)
-        ctx.clock.advance(self.fault_body_ns(proc, fix))
-        # Each guest PTE write trapped under write protection.
-        self.priced_gpt_writes(ctx, proc, fix.entry_writes)
-        self.guest_internal_transition(ctx)  # guest iret (no exit)
-        self.events.fault(FaultPhase.GUEST_PT, ctx.clock.now, ctx.cpu_id)
-        # The retry will fault again on the shadow table and take the
-        # sync path above — the "second phase" of §2.2.
-
-    def on_ept_violation(self, ctx: CpuCtx, proc: Process, violation) -> None:
-        """Extended-dimension fault dance (or assertion if N/A)."""
-        raise AssertionError("kvm-spt never performs two-dimensional walks")
-
-    def _sync_spte(self, ctx: CpuCtx, proc: Process, vpn: int, gpt_pte: Pte) -> None:
-        """Install one shadow PTE from the guest PTE, under mmu_lock."""
-        hfn = self.backing_frame(gpt_pte.frame)
-        spt = self.spt_for(proc)
-        existing = spt.lookup(vpn)
-        if existing is None:
-            result = spt.map(vpn, Pte(
-                frame=hfn,
-                writable=gpt_pte.writable,
-                user=gpt_pte.user,
-                executable=gpt_pte.executable,
-            ))
-            self._spt_rmap.setdefault(hfn, set()).add((proc.pid, vpn))
-            levels = len(result.written_frames)
-        else:
-            spt.protect(vpn, writable=gpt_pte.writable, user=gpt_pte.user)
-            levels = 1
-        self.mmu_lock.run_locked(
-            ctx.clock,
-            hold_ns=self.costs.mmu_lock_hold + levels * self.costs.spt_sync_per_entry,
-            overhead_ns=self.costs.mmu_lock_op,
-        )
-
-    # -- write-protected guest page tables ----------------------------------------
-
-    def priced_gpt_writes(self, ctx: CpuCtx, proc: Process, writes: int,
-                          kernel_pages: bool = False,
-                          structural: bool = False) -> None:
-        """Every guest PTE write traps: exit, emulate under mmu_lock, enter."""
-        for _ in range(writes):
-            self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
-            self.events.l0_trap("gpt-write")
-            self.mmu_lock.run_locked(
-                ctx.clock,
-                hold_ns=self.costs.wp_emulate_write + self.costs.mmu_lock_hold,
-                overhead_ns=self.costs.mmu_lock_op,
-            )
-            self.events.emulate("gpt-write")
-            self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
-
-    # -- invalidation --------------------------------------------------------------
-
-    def invalidate_pages(self, ctx: CpuCtx, proc: Process, vpns: Iterable[int]) -> None:
-        """munmap/mprotect: zap stale shadow entries + TLB."""
-        spt = self.spt_for(proc)
-        asid = self.asid_for(proc)
-        for vpn in vpns:
-            if spt.lookup(vpn) is not None:
-                pte = spt.unmap(vpn)
-                entries = self._spt_rmap.get(pte.frame)
-                if entries is not None:
-                    entries.discard((proc.pid, vpn))
-                    if not entries:
-                        del self._spt_rmap[pte.frame]
-                self.mmu_lock.run_locked(
-                    ctx.clock, hold_ns=self.costs.mmu_lock_hold // 2,
-                    overhead_ns=self.costs.mmu_lock_op,
-                )
-            ctx.mmu.flush_page(ctx.clock, asid, vpn)
-
-    # -- process lifecycle hooks -----------------------------------------------------
-
-    def on_process_created(self, ctx: CpuCtx, proc: Process) -> None:
-        # Parent mappings were downgraded for COW; its shadow entries are
-        # stale.  KVM zaps and lets them re-sync on demand.
-        """Shadow-side bookkeeping for a new (forked) process."""
-        parent = self.kernel.processes.get(proc.parent_pid or -1)
-        if parent is not None:
-            self._zap_spt(ctx, parent)
-
-    def on_process_reset(self, ctx: CpuCtx, proc: Process) -> None:
-        """Shadow-side teardown on exec."""
-        self._zap_spt(ctx, proc)
-
-    def on_process_destroyed(self, ctx: CpuCtx, proc: Process) -> None:
-        """Shadow-side teardown on exit."""
-        spt = self._spts.pop(proc.pid, None)
-        if spt is not None:
-            self._forget_spt_rmap(spt, proc.pid)
-            spt.release()
-
-    # -- balloon / reclaim ---------------------------------------------------------
-
-    def discard_gfn_backing(self, gfn: int) -> bool:
-        """Balloon release: zap every SPTE naming the host frame first.
-
-        Without this, the freed (and soon reallocated) host frame stays
-        reachable through stale shadow entries — the gap the
-        shadow-coherence audit catches.
-        """
-        if self.huge_block_base(gfn) is not None:
-            return False
-        hfn = self._backing.get(gfn)
-        if hfn is not None:
-            for pid, vpn in sorted(self._spt_rmap.pop(hfn, ())):
-                spt = self._spts.get(pid)
-                if spt is not None:
-                    pte = spt.lookup(vpn)
-                    if pte is not None and pte.frame == hfn and not pte.huge:
-                        spt.unmap(vpn)
-                proc = self.kernel.processes.get(pid)
-                if proc is not None:
-                    asid = self.asid_for(proc)
-                    for ctx in self.contexts:
-                        ctx.tlb.flush_page(asid, vpn)
-        return super().discard_gfn_backing(gfn)
-
-    def accessed_bit_tables(self, proc: Process) -> List[PageTable]:
-        """The walker sets A-bits in the shadow table, not the GPT."""
-        spt = self._spts.get(proc.pid)
-        return [spt] if spt is not None else []
-
-    def teardown_guest_memory(self) -> None:
-        """Eviction: release every shadow table before freeing backing."""
-        for spt in self._spts.values():
-            spt.release()
-        self._spts.clear()
-        self._spt_rmap.clear()
-        super().teardown_guest_memory()
+    #: VM entry back into the guest (one hardware switch).
+    spt_entry = KvmEptMachine.hw_exit_entry
 
     # -- transitions -------------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.hw.events import SwitchKind
 from repro.hw.vmx import ExitReason, PendingEvent, Vmcs, VmcsShadow, VmxCapabilities
-from repro.hypervisors.base import CpuCtx, Machine
+from repro.hypervisors.base import PRIVILEGED_HANDLERS, CpuCtx, Machine
 
 
 class NestedVmxMixin:
@@ -118,6 +118,11 @@ class NestedVmxMixin:
         ctx.clock.advance(handler_ns)
         self.events.emulate(reason)
         self.l1_resume_l2(ctx)
+
+    def _privileged(self: Machine, ctx: CpuCtx, kind: str) -> None:
+        """Table 1's kvm NST rows: L1 handles the forwarded operation."""
+        handler = getattr(self.costs, PRIVILEGED_HANDLERS[kind][0])
+        self.nested_privileged_roundtrip(ctx, handler, kind)
 
     def virtio_doorbell(self: Machine, ctx: CpuCtx) -> None:
         """L2's kick is forwarded to L1's vhost, whose backend I/O rides

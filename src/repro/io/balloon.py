@@ -42,11 +42,6 @@ class BalloonDevice:
         """Pages the balloon currently holds."""
         return len(self._held)
 
-    @property
-    def held_bytes(self) -> int:
-        """Bytes the balloon currently holds."""
-        return len(self._held) << PAGE_SHIFT
-
     # -- guest-driven operations ------------------------------------------
 
     def inflate(self, ctx, nbytes: int, prefer_recycled: bool = True) -> int:

@@ -2,7 +2,8 @@
 
 Cross-checks the *cached* translation state (TLB entries, shadow PTEs)
 against fresh, uncached walks of the authoritative tables (guest GPT,
-L1 backing map, EPT01) — the 2-D ground truth.  Three hook families:
+the L1 chain's backing map, EPT01) — the 2-D ground truth.  Three hook
+families:
 
 * ``check_flush_*`` — called by :class:`~repro.hw.mmu.Mmu` immediately
   after each flush executes, asserting the flush left no matching
@@ -261,20 +262,21 @@ class ShadowCoherenceSanitizer:
     def _expected_target(self, gfn: int) -> Optional[int]:
         """Shadow target for a guest frame, via read-only map probes."""
         machine = self.machine
-        if getattr(machine, "nested", False) and hasattr(machine, "_l1_backing"):
-            return machine._l1_backing.get(gfn)
+        chain = getattr(machine, "chain", None)
+        if chain is not None:
+            return chain.backing.get(gfn)
         return machine._backing.get(gfn)
 
     def _expected_host_frame(self, gfn: int) -> Optional[int]:
         """Host frame a fresh 2-D walk would produce for a guest frame."""
-        machine = self.machine
         target = self._expected_target(gfn)
         if target is None:
             return None
-        if not (getattr(machine, "nested", False)
-                and hasattr(machine, "ept01")):
-            return target  # bare metal: shadow targets are host frames
-        ept_pte = machine.ept01.lookup(target)
+        chain = getattr(self.machine, "chain", None)
+        ept01 = None if chain is None else chain.ept01
+        if ept01 is None:
+            return target  # no EPT01 below: targets are host frames
+        ept_pte = ept01.lookup(target)
         if ept_pte is None:
             return None  # EPT01 not warmed for this frame yet
         if ept_pte.huge:

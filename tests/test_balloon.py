@@ -80,9 +80,9 @@ class TestHostRelease:
         m, ctx, proc, vma = _warm("kvm-ept (NST)", pages=8)
         gfn2 = proc.gpt.lookup(vma.start_vpn).frame
         m.munmap(ctx, proc, vma)
-        l1_used = m.l1_phys.allocator.used_frames
+        l1_used = m.chain.phys.allocator.used_frames
         assert m.discard_gfn_backing(gfn2)
-        assert m.l1_phys.allocator.used_frames == l1_used - 1
+        assert m.chain.phys.allocator.used_frames == l1_used - 1
         assert m.ept02.lookup(gfn2) is None
 
     def test_pvm_shadow_entries_dropped(self):

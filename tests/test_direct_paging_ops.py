@@ -51,7 +51,7 @@ class TestDirectPagingMemoryOps:
 
     def test_guest_allocates_machine_frames(self, m):
         """Direct paging: the guest's allocator *is* the L1 space."""
-        assert m.guest_phys is m.l1_phys
+        assert m.guest_phys is m.chain.phys
 
     def test_validation_scales_with_writes(self, m):
         ctx, proc = _ctx_proc(m)

@@ -75,10 +75,10 @@ class TestKvmSptBm:
         proc = m.spawn_process()
         vma = m.mmap(ctx, proc, 16 * KIB)
         m.touch(ctx, proc, vma.start_vpn, write=True)
-        assert m.spt_for(proc).mapped_pages == 1
+        assert m.shadow.spt(proc).mapped_pages == 1
         child = m.fork(ctx, proc)
         # Parent SPT dropped (stale writable entries).
-        assert m.spt_for(proc).mapped_pages == 0
+        assert m.shadow.spt(proc).mapped_pages == 0
         m.exit(ctx, child)
 
     def test_kpti_off_no_syscall_trap(self):
@@ -110,8 +110,8 @@ class TestEptOnEpt:
 
     def test_backing_chain_is_two_level(self):
         m = make_machine("kvm-ept (NST)")
-        gfn1 = m.gfn1_for(123)
-        assert m.gfn1_for(123) == gfn1  # stable
+        gfn1 = m.chain.gfn1_for(123)
+        assert m.chain.gfn1_for(123) == gfn1  # stable
         hfn = m.backing_frame(gfn1)
         assert m.backing_frame(gfn1) == hfn
 
